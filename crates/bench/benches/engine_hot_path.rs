@@ -1,46 +1,45 @@
-//! Hot-path bench: raw `Network::resolve_round` throughput.
+//! Hot-path bench: raw `Network::resolve_round_sparse` throughput.
 //!
-//! Measures the arena-backed engine against `baseline` — a faithful copy
-//! of the original (pre-arena, pre-scratch) round-resolution loop (fresh
-//! `Vec`s every round, extra frame clones, unconditional record
-//! construction) — across the trace-retention policies, for a cheap `u64`
-//! frame and a clone-heavy `Vec<u8>` frame.
+//! Measures the arena-backed engine against
+//! [`ReferenceNetwork`] — the plain reference oracle of the §3 round rule
+//! (fresh per-channel `Vec`s every round, owned outcomes, unconditional
+//! record construction) — across the trace-retention policies, for a
+//! cheap `u64` frame and a clone-heavy `Vec<u8>` frame.
 //!
 //! Four groups:
 //!
 //! * `resolve_round/*` — the engine as consumers drive it: per-round
-//!   adversary construction, borrowed [`RoundView`] result.
+//!   adversary construction, borrowed [`RoundView`] result;
+//!   `baseline_last64` is the oracle with a 64-round window.
 //! * `arena/*` — the arena round core isolated: adversary actions are
 //!   pre-built once and reused, so a timed round performs **zero**
 //!   steady-state allocations with retention off, and only recycled
 //!   bounded-window retention otherwise (`tests/zero_alloc.rs` pins the
-//!   zero with a counting allocator). `owned_last64` measures the
-//!   [`RoundView::to_resolution`] migration escape hatch for contrast.
+//!   zero with a counting allocator).
 //! * `sinks/*` — the pluggable [`TraceSink`]s under full record
 //!   construction on a larger grid, where retention cost dominates.
 //! * `sparse/*` — O(active) resolution at fixed activity (24 awake nodes)
-//!   as the population grows: `dense_n*` rows pay the dense gather over
-//!   all `n` actions, `sparse_n*` rows feed only the awake pairs to
-//!   [`Network::resolve_round_sparse`], and `sim_n*` rows drive the full
-//!   [`Simulation`] wake-queue from n = 10³ to 10⁶ — the headline claim
-//!   is ns-per-active-node staying flat as `n` grows 1000×.
+//!   as the population grows: `dense_n*` rows drive the oracle over all
+//!   `n` dense actions, `sparse_n*` rows feed only the awake pairs to
+//!   the engine, and `sim_n*` rows drive the full [`Simulation`]
+//!   wake-queue from n = 10³ to 10⁶ — the headline claim is
+//!   ns-per-active-node staying flat as `n` grows 1000×.
 //!
 //! Besides the usual criterion output, `main` writes the measured
 //! per-round times to `BENCH_engine.json` so the perf trajectory of this
 //! path is tracked in-repo. Under `BENCH_SMOKE=1` (the CI per-push leg)
 //! sample counts shrink, the JSON baseline is left untouched, and a loose
-//! sanity gate panics if the arena path regresses past the pre-refactor
-//! baseline — an allocation-storm regression fails the build loudly
-//! instead of silently drifting `BENCH_engine.json`.
+//! sanity gate panics if the arena path regresses past the oracle — an
+//! allocation-storm regression fails the build loudly instead of
+//! silently drifting `BENCH_engine.json`.
 
 use criterion::{black_box, summaries_json, Criterion, Summary};
+use radio_network::testing::{to_sparse, ReferenceNetwork};
 use radio_network::{
-    Action, AdversaryAction, ChannelId, ChannelOutcome, ChannelSink, Emission, InMemorySink,
-    Network, NetworkConfig, NodeId, NullSink, OverflowPolicy, RoundRecord, RoundView, Simulation,
-    TraceRetention, TraceSink,
+    Action, AdversaryAction, ChannelId, ChannelSink, InMemorySink, Network, NetworkConfig, NodeId,
+    NullSink, OverflowPolicy, RoundView, Simulation, TraceRetention, TraceSink,
 };
 use secure_radio_bench::smoke;
-use std::collections::VecDeque;
 use std::fmt::Debug;
 
 const CHANNELS: usize = 8;
@@ -89,97 +88,6 @@ fn consume_view<M>(view: &RoundView<'_, M>) -> usize {
     delivered
 }
 
-/// A faithful reproduction of the round loop as it was before the
-/// scratch/arena refactors: every round allocates fresh gather buffers,
-/// clones each frame twice (gather + record), and always builds the trace
-/// record. Retention semantics match `TraceRetention::LastRounds(k)`.
-mod baseline {
-    use super::*;
-
-    pub struct NaiveNetwork<M> {
-        channels: usize,
-        round: u64,
-        keep_last: usize,
-        pub records: VecDeque<RoundRecord<M>>,
-    }
-
-    impl<M: Clone> NaiveNetwork<M> {
-        pub fn new(channels: usize, keep_last: usize) -> Self {
-            NaiveNetwork {
-                channels,
-                round: 0,
-                keep_last,
-                records: VecDeque::new(),
-            }
-        }
-
-        pub fn resolve_round(
-            &mut self,
-            actions: &[Action<M>],
-            adversary: AdversaryAction<M>,
-        ) -> Vec<ChannelOutcome<M>> {
-            let c = self.channels;
-            let mut honest_tx: Vec<Vec<(NodeId, M)>> = vec![Vec::new(); c];
-            let mut listeners: Vec<(NodeId, ChannelId)> = Vec::new();
-            for (i, action) in actions.iter().enumerate() {
-                match action {
-                    Action::Transmit { channel, frame } => {
-                        honest_tx[channel.index()].push((NodeId(i), frame.clone()));
-                    }
-                    Action::Listen { channel } => listeners.push((NodeId(i), *channel)),
-                    Action::Sleep => {}
-                }
-            }
-            let mut adv_tx: Vec<Option<Emission<M>>> = vec![None; c];
-            for (ch, emission) in &adversary.transmissions {
-                adv_tx[ch.index()] = Some(emission.clone());
-            }
-
-            let mut outcomes: Vec<ChannelOutcome<M>> = Vec::with_capacity(c);
-            for ch in 0..c {
-                let honest = &honest_tx[ch];
-                let adv = &adv_tx[ch];
-                let outcome = match (honest.len(), adv) {
-                    (0, None) => ChannelOutcome::Idle,
-                    (0, Some(Emission::Noise)) => ChannelOutcome::NoiseOnly,
-                    (0, Some(Emission::Spoof(frame))) => ChannelOutcome::SpoofDelivered {
-                        frame: frame.clone(),
-                    },
-                    (1, None) => {
-                        let (from, frame) = honest[0].clone();
-                        ChannelOutcome::Delivered { from, frame }
-                    }
-                    _ => ChannelOutcome::Collision {
-                        honest: honest.iter().map(|&(id, _)| id).collect(),
-                        adversary: adv.is_some(),
-                    },
-                };
-                outcomes.push(outcome);
-            }
-
-            let delivered: Vec<Option<M>> = outcomes.iter().map(ChannelOutcome::heard).collect();
-            let mut transmissions = Vec::new();
-            for (ch, txs) in honest_tx.iter().enumerate() {
-                for (id, frame) in txs {
-                    transmissions.push((*id, ChannelId(ch), frame.clone()));
-                }
-            }
-            self.records.push_back(RoundRecord::from_parts(
-                self.round,
-                transmissions,
-                listeners,
-                adversary.transmissions,
-                delivered,
-            ));
-            while self.records.len() > self.keep_last {
-                self.records.pop_front();
-            }
-            self.round += 1;
-            outcomes
-        }
-    }
-}
-
 fn sample_size(full: usize) -> usize {
     if smoke() {
         3
@@ -192,18 +100,23 @@ fn bench_frame_kind<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: 
     let mut group = c.benchmark_group(&format!("resolve_round/{kind}"));
     group.sample_size(sample_size(20));
 
-    // Pre-build the action schedule once; the engine sees &[Action<M>].
+    // Pre-build the action schedule once, dense for the oracle and as
+    // awake pairs for the engine.
     let schedule: Vec<Vec<Action<M>>> = (0..ROUNDS_PER_ITER).map(|r| actions(r, frame)).collect();
+    let pairs: Vec<Vec<(NodeId, Action<M>)>> = schedule.iter().map(|a| to_sparse(a)).collect();
 
     // Each timed iteration is a self-contained unit — fresh network, then
     // ROUNDS_PER_ITER resolved rounds — so no variant accumulates state
     // across iterations (under `All` an ever-growing trace would otherwise
     // distort later samples) and all variants stay comparable.
     group.bench_function("baseline_last64", |b| {
+        let cfg = NetworkConfig::new(CHANNELS, BUDGET)
+            .unwrap()
+            .with_retention(TraceRetention::LastRounds(64));
         b.iter(|| {
-            let mut net = baseline::NaiveNetwork::new(CHANNELS, 64);
+            let mut net: ReferenceNetwork<M> = ReferenceNetwork::new(cfg.clone());
             for (r, acts) in schedule.iter().enumerate() {
-                black_box(net.resolve_round(acts, adversary(r)));
+                black_box(net.resolve_round_dense(acts, &adversary(r)).unwrap());
             }
         })
     });
@@ -220,9 +133,9 @@ fn bench_frame_kind<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: 
             b.iter(|| {
                 let mut net: Network<M> = Network::new(cfg.clone());
                 let mut delivered = 0usize;
-                for (r, acts) in schedule.iter().enumerate() {
+                for (r, acts) in pairs.iter().enumerate() {
                     let adv = adversary(r);
-                    let view = net.resolve_round(acts, &adv).unwrap();
+                    let view = net.resolve_round_sparse(acts, &adv).unwrap();
                     delivered += consume_view(black_box(&view));
                 }
                 delivered
@@ -235,20 +148,19 @@ fn bench_frame_kind<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: 
 /// The arena round core isolated: actions *and* adversary moves are
 /// pre-built, so a timed round is exactly the engine's own work — gather,
 /// counting-sort spans, slot tags, stats, and (for the retention-on rows)
-/// the recycled record arena. `owned_last64` adds the
-/// [`RoundView::to_resolution`] materialization for contrast with the
-/// borrowed view path.
+/// the recycled record arena.
 fn bench_arena<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str, frame: &M) {
     let mut group = c.benchmark_group(&format!("arena/{kind}"));
     group.sample_size(sample_size(20));
 
-    let schedule: Vec<Vec<Action<M>>> = (0..ROUNDS_PER_ITER).map(|r| actions(r, frame)).collect();
+    let schedule: Vec<Vec<(NodeId, Action<M>)>> = (0..ROUNDS_PER_ITER)
+        .map(|r| to_sparse(&actions(r, frame)))
+        .collect();
     let adversaries: Vec<AdversaryAction<M>> = (0..ROUNDS_PER_ITER).map(adversary).collect();
 
-    for (label, retention, owned) in [
-        ("view_none", TraceRetention::None, false),
-        ("view_last64", TraceRetention::LastRounds(64), false),
-        ("owned_last64", TraceRetention::LastRounds(64), true),
+    for (label, retention) in [
+        ("view_none", TraceRetention::None),
+        ("view_last64", TraceRetention::LastRounds(64)),
     ] {
         group.bench_function(label, |b| {
             let cfg = NetworkConfig::new(CHANNELS, BUDGET)
@@ -258,16 +170,8 @@ fn bench_arena<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
                 let mut net: Network<M> = Network::new(cfg.clone());
                 let mut delivered = 0usize;
                 for (acts, adv) in schedule.iter().zip(&adversaries) {
-                    let view = net.resolve_round(acts, adv).unwrap();
-                    if owned {
-                        delivered += black_box(view.to_resolution())
-                            .outcomes
-                            .iter()
-                            .filter(|o| o.heard().is_some())
-                            .count();
-                    } else {
-                        delivered += consume_view(black_box(&view));
-                    }
+                    let view = net.resolve_round_sparse(acts, adv).unwrap();
+                    delivered += consume_view(black_box(&view));
                 }
                 delivered
             })
@@ -294,8 +198,8 @@ fn bench_sinks<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
     let mut group = c.benchmark_group(&format!("sinks/{kind}"));
     group.sample_size(sample_size(10));
 
-    let schedule: Vec<Vec<Action<M>>> = (0..SINK_ROUNDS_PER_ITER)
-        .map(|r| actions(r, frame))
+    let schedule: Vec<Vec<(NodeId, Action<M>)>> = (0..SINK_ROUNDS_PER_ITER)
+        .map(|r| to_sparse(&actions(r, frame)))
         .collect();
     let adversaries: Vec<AdversaryAction<M>> = (0..SINK_ROUNDS_PER_ITER).map(adversary).collect();
     let cfg = NetworkConfig::new(CHANNELS, BUDGET).unwrap();
@@ -338,7 +242,7 @@ fn bench_sinks<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
                 for i in 0..SINK_ROUNDS_PER_ITER {
                     let slot = (round + i) % SINK_ROUNDS_PER_ITER;
                     let view = net
-                        .resolve_round(&schedule[slot], &adversaries[slot])
+                        .resolve_round_sparse(&schedule[slot], &adversaries[slot])
                         .unwrap();
                     black_box(view.round());
                 }
@@ -419,11 +323,11 @@ fn bench_sparse(c: &mut Criterion) {
         .unwrap()
         .with_retention(TraceRetention::None);
 
-    // Dense rows: one reusable n-slot action buffer, only the 24 active
-    // slots rewritten per round — the gather loop still walks all n.
+    // Dense rows: the oracle over one reusable n-slot action buffer, only
+    // the 24 active slots rewritten per round — its gather walks all n.
     for n in [10_000usize, 100_000] {
         group.bench_function(format!("dense_n{n}").as_str(), |b| {
-            let mut net: Network<u64> = Network::new(cfg.clone());
+            let mut net: ReferenceNetwork<u64> = ReferenceNetwork::new(cfg.clone());
             let mut acts: Vec<Action<u64>> = vec![Action::Sleep; n];
             b.iter(|| {
                 let mut delivered = 0usize;
@@ -431,8 +335,11 @@ fn bench_sparse(c: &mut Criterion) {
                     for (i, slot) in acts.iter_mut().enumerate().take(ACTIVE) {
                         *slot = active_action(i, r);
                     }
-                    let view = net.resolve_round(&acts, adv).unwrap();
-                    delivered += consume_view(black_box(&view));
+                    let outcomes = net.resolve_round_dense(&acts, adv).unwrap();
+                    delivered += black_box(&outcomes)
+                        .iter()
+                        .filter(|o| o.heard().is_some())
+                        .count();
                 }
                 delivered
             })
@@ -540,11 +447,11 @@ fn main() {
                 .map(|s| s.median_ns)
         };
         // The smoke-mode regression gate: the arena path with recycled
-        // bounded retention must never fall behind the pre-refactor
-        // baseline loop. The 1.0x threshold is deliberately loose (the
-        // steady-state gap is severalfold) so CI timing noise cannot trip
-        // it, while an accidental per-round allocation storm still fails
-        // the push loudly instead of silently drifting BENCH_engine.json.
+        // bounded retention must never fall behind the reference oracle.
+        // The 1.0x threshold is deliberately loose (the steady-state gap
+        // is severalfold) so CI timing noise cannot trip it, while an
+        // accidental per-round allocation storm still fails the push
+        // loudly instead of silently drifting BENCH_engine.json.
         for kind in ["u64", "vec256"] {
             if let (Some(naive), Some(arena)) = (
                 median(&format!("resolve_round/{kind}/baseline_last64")),
@@ -553,13 +460,13 @@ fn main() {
                 assert!(
                     arena <= naive,
                     "arena regression ({kind}): view_last64 {arena:.0} ns/round is slower than \
-                     the pre-refactor baseline {naive:.0} ns/round"
+                     the reference oracle {naive:.0} ns/round"
                 );
             }
         }
         // The large-n sparse gate: at matched activity (24 awake nodes),
-        // the sparse entry point must never be slower than the dense one —
-        // the dense gather walks all n actions, the sparse one only the
+        // the engine must never be slower than the dense oracle — the
+        // oracle's gather walks all n actions, the engine's only the
         // awake pairs, so the margin is ~n/activity and timing noise
         // cannot close it unless the worklist machinery regresses badly.
         for n in [10_000usize, 100_000] {
@@ -570,7 +477,7 @@ fn main() {
                 assert!(
                     sparse <= dense,
                     "sparse regression (n={n}): sparse {sparse:.0} ns/round is slower than \
-                     dense {dense:.0} ns/round at identical activity"
+                     the dense oracle {dense:.0} ns/round at identical activity"
                 );
             }
         }

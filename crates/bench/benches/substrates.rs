@@ -9,6 +9,7 @@ use radio_crypto::hmac::hmac_sha256;
 use radio_crypto::key::SymmetricKey;
 use radio_crypto::prf::ChannelHopper;
 use radio_crypto::sha256::Sha256;
+use radio_network::testing::to_sparse;
 use radio_network::{Action, AdversaryAction, ChannelId, Network, NetworkConfig};
 use removal_game::vertex_cover::min_cover_size;
 use secure_radio_bench::workloads::random_pairs;
@@ -83,9 +84,10 @@ fn bench_engine_round(c: &mut Criterion) {
                 _ => Action::Sleep,
             })
             .collect();
+        let pairs = to_sparse(&actions);
         let adversary: AdversaryAction<u64> = AdversaryAction::jam([ChannelId(0)]);
         b.iter(|| {
-            net.resolve_round(black_box(&actions), black_box(&adversary))
+            net.resolve_round_sparse(black_box(&pairs), black_box(&adversary))
                 .expect("resolves")
                 .round()
         })

@@ -32,9 +32,6 @@ fn main() {
     if shard.handle_merge("channel_sweep") {
         return;
     }
-    if shard.handle_exec("channel_sweep") {
-        return;
-    }
     let trace = TraceOutput::from_args();
     let trials = smoke_trials(8);
     let t = 2;

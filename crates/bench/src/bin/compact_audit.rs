@@ -29,9 +29,6 @@ fn main() {
     if shard.handle_merge("compact_audit") {
         return;
     }
-    if shard.handle_exec("compact_audit") {
-        return;
-    }
     // The plain f-AME scenarios honor --trace-out; the compact-vector
     // variant drives its own chunked exchange internally and keeps
     // traces in memory (its specs say so).

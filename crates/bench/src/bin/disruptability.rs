@@ -41,9 +41,6 @@ fn main() {
     if shard.handle_merge(report_name) {
         return;
     }
-    if shard.handle_exec(report_name) {
-        return;
-    }
     // E4 trials run full f-AME and honor --trace-out; the bespoke E6
     // triangle-attack trials drive the direct baseline internally and
     // keep their traces in memory (their specs say so).

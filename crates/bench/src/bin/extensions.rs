@@ -35,9 +35,6 @@ fn main() {
     if shard.handle_merge("extensions") {
         return;
     }
-    if shard.handle_exec("extensions") {
-        return;
-    }
     // Parse the shared trace contract so typos and unsupported use fail
     // loudly: every Section 8 trial (residual re-runs, Byzantine variant,
     // pairwise slots) drives bespoke multi-phase runners that do not

@@ -47,9 +47,6 @@ fn main() {
     if shard.handle_merge("fig3_table") {
         return;
     }
-    if shard.handle_exec("fig3_table") {
-        return;
-    }
     // E2 (feedback) and E3 (f-AME) trials drive the radio network and
     // honor --trace-out; E1 is the standalone game — no rounds, no trace.
     let trace = TraceOutput::from_args();

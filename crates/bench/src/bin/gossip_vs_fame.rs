@@ -28,9 +28,6 @@ fn main() {
     if shard.handle_merge("gossip_vs_fame") {
         return;
     }
-    if shard.handle_exec("gossip_vs_fame") {
-        return;
-    }
     // The f-AME scenarios honor --trace-out; the gossip baseline runs its
     // own unauthenticated flood internally and keeps traces in memory.
     let trace = TraceOutput::from_args();

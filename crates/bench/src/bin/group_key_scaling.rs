@@ -110,9 +110,6 @@ fn main() {
     if shard.handle_merge("group_key_scaling") {
         return;
     }
-    if shard.handle_exec("group_key_scaling") {
-        return;
-    }
     // Parse the shared trace contract so typos and unsupported use fail
     // loudly: group-key trials chain three internal simulations whose
     // round numbering restarts per part, which the per-trial trace-file

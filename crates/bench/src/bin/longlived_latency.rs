@@ -59,9 +59,6 @@ fn main() {
     if shard.handle_merge("longlived_latency") {
         return;
     }
-    if shard.handle_exec("longlived_latency") {
-        return;
-    }
     let trace = TraceOutput::from_args();
     let trials = smoke_trials(4);
     let broadcasts: u64 = if smoke() { 5 } else { 20 };

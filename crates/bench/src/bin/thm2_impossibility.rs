@@ -28,9 +28,6 @@ fn main() {
     if shard.handle_merge("thm2_impossibility") {
         return;
     }
-    if shard.handle_exec("thm2_impossibility") {
-        return;
-    }
     // The f-AME scenarios honor --trace-out; the naive baseline runs its
     // own randomized exchange internally and keeps traces in memory.
     let trace = TraceOutput::from_args();

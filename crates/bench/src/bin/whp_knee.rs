@@ -45,9 +45,6 @@ fn main() {
     if shard.handle_merge(report_name) {
         return;
     }
-    if shard.handle_exec(report_name) {
-        return;
-    }
     let trace = TraceOutput::from_args();
     println!("# Lemma 5 w.h.p. knee: feedback_scale sweep (E11)\n");
 

@@ -53,7 +53,7 @@ pub use runner::{
     TrialError, TrialOutcome,
 };
 pub use scenario::{channel_model_from_json, AdversaryChoice, ScenarioSpec, TraceOutput, Workload};
-pub use shard::{exec_shards, merge_shards, Shard, ShardMode, ShardedReport};
+pub use shard::{merge_shards, Shard, ShardMode, ShardedReport};
 pub use table::Table;
 
 use fame::Params;

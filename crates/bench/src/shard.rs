@@ -47,18 +47,11 @@
 //! <bin> --shard 1/2     # run scenarios 0, 2, 4, … -> BENCH_<name>.shard1of2.json
 //! <bin> --shard 2/2     # run scenarios 1, 3, 5, … -> BENCH_<name>.shard2of2.json
 //! <bin> --merge <dir>   # merge <dir>'s shard files -> <dir>/BENCH_<name>.json
-//! <bin> --shard-exec N  # spawn N local --shard k/N child processes,
-//!                       # merge automatically -> BENCH_<name>.json
 //! ```
 //!
-//! `--shard-exec N` is the single-machine convenience wrapper over the
-//! two-step contract: the parent re-invokes its own binary `N` times
-//! (forwarding every other argument, with `--trace-out` directories
-//! absolutized so children agree on where traces land), collects the
-//! shard files in a scratch directory, runs the same
-//! [`merge_shards`] validation an explicit `--merge` would, and renames
-//! the merged report into the current directory — byte-identical to an
-//! unsharded run, as the CI `shard-smoke` job diffs end-to-end.
+//! On one machine, run the `N` shard processes from the shell (e.g. in
+//! the background) and merge their directory; the CI `shard-smoke` job
+//! diffs the merged report against an unsharded run.
 //!
 //! Misspelled `--shard`/`--merge` flags are rejected at startup rather
 //! than silently ignored: a typo like `--shard1/2` must not quietly run
@@ -108,9 +101,6 @@ pub enum ShardMode {
     /// `--merge <dir>`: run nothing; merge `<dir>`'s shard files into the
     /// canonical report.
     Merge(PathBuf),
-    /// `--shard-exec N`: run nothing in this process; spawn `N` local
-    /// `--shard k/N` children and merge their shard files automatically.
-    Exec(usize),
 }
 
 impl ShardMode {
@@ -138,24 +128,9 @@ impl ShardMode {
     pub fn parse_args(args: &[String]) -> Result<Self, String> {
         let mut shard: Option<Shard> = None;
         let mut merge: Option<PathBuf> = None;
-        let mut exec: Option<usize> = None;
         let mut iter = args.iter().peekable();
         while let Some(arg) = iter.next() {
-            if arg == "--shard-exec" {
-                match iter.peek() {
-                    Some(value) if !value.starts_with("--") => {
-                        exec = Some(parse_exec(value)?);
-                        iter.next();
-                    }
-                    _ => {
-                        return Err(
-                            "--shard-exec needs a process count (e.g. --shard-exec 2)".into()
-                        )
-                    }
-                }
-            } else if let Some(value) = arg.strip_prefix("--shard-exec=") {
-                exec = Some(parse_exec(value)?);
-            } else if arg == "--shard" {
+            if arg == "--shard" {
                 match iter.peek() {
                     Some(value) if !value.starts_with("--") => {
                         shard = Some(parse_shard(value)?);
@@ -193,26 +168,23 @@ impl ShardMode {
                 ));
             }
         }
-        match (shard, merge, exec) {
-            (Some(_), Some(_), _) | (Some(_), _, Some(_)) | (_, Some(_), Some(_)) => Err(
-                "--shard, --merge, and --shard-exec are mutually exclusive: a process \
-                     runs one shard, merges finished shard files, or orchestrates children"
-                    .into(),
-            ),
-            (Some(shard), None, None) => Ok(ShardMode::Run(shard)),
-            (None, Some(dir), None) => Ok(ShardMode::Merge(dir)),
-            (None, None, Some(n)) => Ok(ShardMode::Exec(n)),
-            (None, None, None) => Ok(ShardMode::Full),
+        match (shard, merge) {
+            (Some(_), Some(_)) => Err("--shard and --merge are mutually exclusive: a process \
+                 either runs one shard or merges finished shard files"
+                .into()),
+            (Some(shard), None) => Ok(ShardMode::Run(shard)),
+            (None, Some(dir)) => Ok(ShardMode::Merge(dir)),
+            (None, None) => Ok(ShardMode::Full),
         }
     }
 
     /// `true` when this invocation executes the scenario at `grid_index`.
-    /// Merge and exec modes execute nothing in this process.
+    /// Merge mode executes nothing.
     pub fn owns(&self, grid_index: usize) -> bool {
         match self {
             ShardMode::Full => true,
             ShardMode::Run(shard) => shard.owns(grid_index),
-            ShardMode::Merge(_) | ShardMode::Exec(_) => false,
+            ShardMode::Merge(_) => false,
         }
     }
 
@@ -239,43 +211,6 @@ impl ShardMode {
             }
         }
     }
-
-    /// The bins' `--shard-exec` entry point: in [`ShardMode::Exec`],
-    /// spawn the `N` local `--shard k/N` children, merge their shard
-    /// files into the canonical `BENCH_<report>.json` in the current
-    /// directory, print every child's output (grouped, in shard order),
-    /// and return `true` (the bin should exit without running anything);
-    /// in every other mode, return `false`.
-    ///
-    /// On any child failure or merge failure the error is printed to
-    /// stderr and the process exits with status 1.
-    pub fn handle_exec(&self, report: &str) -> bool {
-        let ShardMode::Exec(count) = self else {
-            return false;
-        };
-        match exec_shards(report, *count) {
-            Ok(path) => {
-                println!(
-                    "ran {count} shard processes; merged into {}",
-                    path.display()
-                );
-                true
-            }
-            Err(err) => {
-                eprintln!("error: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-fn parse_exec(value: &str) -> Result<usize, String> {
-    let usage = || format!("--shard-exec wants a process count >= 1, got \"{value}\"");
-    let count: usize = value.parse().map_err(|_| usage())?;
-    if count == 0 {
-        return Err(usage());
-    }
-    Ok(count)
 }
 
 fn parse_shard(value: &str) -> Result<Shard, String> {
@@ -431,8 +366,8 @@ impl ShardedReport {
                 write_atomic(&path, &self.shard_json(*shard))?;
                 Ok(path)
             }
-            ShardMode::Merge(_) | ShardMode::Exec(_) => {
-                panic!("merge/exec-mode processes run no scenarios and write via merge_shards")
+            ShardMode::Merge(_) => {
+                panic!("merge-mode processes run no scenarios and write via merge_shards")
             }
         }
     }
@@ -665,121 +600,6 @@ pub fn merge_shards(dir: &Path, report: &str) -> Result<PathBuf, ShardError> {
         .map_err(|e| ShardError::new(format!("cannot write merged report: {e}")))
 }
 
-/// The arguments a `--shard-exec` child receives: the parent's arguments
-/// with the `--shard-exec` flag (both forms) removed and every
-/// `--trace-out` directory absolutized — children run in a scratch
-/// working directory, and a relative trace dir must still land where the
-/// operator asked, not inside the scratch.
-fn child_args(args: &[String], cwd: &Path) -> Vec<String> {
-    let absolutize = |dir: &str| {
-        let path = Path::new(dir);
-        if path.is_absolute() {
-            dir.to_string()
-        } else {
-            cwd.join(path).to_string_lossy().into_owned()
-        }
-    };
-    let mut out = Vec::with_capacity(args.len());
-    let mut iter = args.iter().peekable();
-    while let Some(arg) = iter.next() {
-        if arg == "--shard-exec" {
-            iter.next(); // the count
-        } else if arg.starts_with("--shard-exec=") {
-            // dropped
-        } else if arg == "--trace-out" {
-            out.push(arg.clone());
-            if let Some(value) = iter.next() {
-                out.push(absolutize(value));
-            }
-        } else if let Some(value) = arg.strip_prefix("--trace-out=") {
-            out.push(format!("--trace-out={}", absolutize(value)));
-        } else {
-            out.push(arg.clone());
-        }
-    }
-    out
-}
-
-/// Run the `--shard-exec N` orchestration for `report`: spawn `N`
-/// `--shard k/N` child processes of the current executable in a scratch
-/// directory under the current directory, wait for all of them, print
-/// each child's output grouped in shard order, merge the shard files
-/// with the same validation an explicit `--merge` performs, and rename
-/// the merged report to `./BENCH_<report>.json` (same-directory rename,
-/// so the final write is atomic). The scratch directory is removed on
-/// success and kept for inspection on failure.
-///
-/// # Errors
-///
-/// [`ShardError`] on spawn failures, a child exiting non-zero (its
-/// stderr is included), or any merge inconsistency.
-pub fn exec_shards(report: &str, count: usize) -> Result<PathBuf, ShardError> {
-    use std::process::{Command, Stdio};
-
-    let exe = std::env::current_exe()
-        .map_err(|e| ShardError::new(format!("cannot locate own executable: {e}")))?;
-    let cwd = std::env::current_dir()
-        .map_err(|e| ShardError::new(format!("cannot read current directory: {e}")))?;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let forwarded = child_args(&args, &cwd);
-
-    let scratch = cwd.join(format!("BENCH_{report}.shard-exec.{}", std::process::id()));
-    std::fs::create_dir_all(&scratch)
-        .map_err(|e| ShardError::new(format!("cannot create {}: {e}", scratch.display())))?;
-
-    let mut children = Vec::with_capacity(count);
-    for k in 1..=count {
-        let child = Command::new(&exe)
-            .arg("--shard")
-            .arg(format!("{k}/{count}"))
-            .args(&forwarded)
-            .current_dir(&scratch)
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .map_err(|e| ShardError::new(format!("cannot spawn shard {k}/{count}: {e}")))?;
-        children.push((k, child));
-    }
-
-    // Drain children in shard order. Draining one child's pipes to EOF
-    // while its siblings keep running is safe: a sibling blocked on a
-    // full pipe simply waits until its own turn is drained.
-    let mut failed: Option<String> = None;
-    for (k, child) in children {
-        let output = child
-            .wait_with_output()
-            .map_err(|e| ShardError::new(format!("cannot wait for shard {k}/{count}: {e}")))?;
-        println!("--- shard {k}/{count} ---");
-        print!("{}", String::from_utf8_lossy(&output.stdout));
-        if !output.status.success() && failed.is_none() {
-            failed = Some(format!(
-                "shard {k}/{count} exited with {}: {}",
-                output.status,
-                String::from_utf8_lossy(&output.stderr).trim_end()
-            ));
-        }
-    }
-    if let Some(message) = failed {
-        return Err(ShardError::new(format!(
-            "{message} (shard files kept in {} for inspection)",
-            scratch.display()
-        )));
-    }
-
-    let merged = merge_shards(&scratch, report)?;
-    let target = cwd.join(format!("BENCH_{report}.json"));
-    std::fs::rename(&merged, &target).map_err(|e| {
-        ShardError::new(format!(
-            "cannot move merged report into {}: {e}",
-            target.display()
-        ))
-    })?;
-    std::fs::remove_dir_all(&scratch)
-        .map_err(|e| ShardError::new(format!("cannot clean up {}: {e}", scratch.display())))?;
-    Ok(target)
-}
-
 /// Parse `name` as `BENCH_<report>.shard<k>of<N>.json`, returning
 /// `(k, N)`.
 fn match_shard_file(name: &str, report: &str) -> Option<(usize, usize)> {
@@ -891,45 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_exec_contract_parses() {
-        assert_eq!(
-            ShardMode::parse_args(&args(&["--shard-exec", "4"])),
-            Ok(ShardMode::Exec(4))
-        );
-        assert_eq!(
-            ShardMode::parse_args(&args(&["--shard-exec=2", "--trace-out", "t"])),
-            Ok(ShardMode::Exec(2))
-        );
-        assert!(!ShardMode::Exec(2).owns(0));
-    }
-
-    #[test]
-    fn child_args_filter_and_absolutize() {
-        let cwd = Path::new("/work/repo");
-        let filtered = child_args(
-            &args(&[
-                "--shard-exec",
-                "2",
-                "--trace-out",
-                "traces",
-                "--trace-lossy",
-            ]),
-            cwd,
-        );
-        assert_eq!(
-            filtered,
-            args(&["--trace-out", "/work/repo/traces", "--trace-lossy"])
-        );
-        let filtered = child_args(
-            &args(&["--shard-exec=3", "--trace-out=/abs/dir", "--other"]),
-            cwd,
-        );
-        assert_eq!(filtered, args(&["--trace-out=/abs/dir", "--other"]));
-        // No shard flags may survive into children (they get their own).
-        assert!(filtered.iter().all(|a| !a.starts_with("--shard")));
-    }
-
-    #[test]
     fn cli_contract_rejects_misuse() {
         for bad in [
             vec!["--shard"],
@@ -942,15 +723,9 @@ mod tests {
             vec!["--shard", "1/2", "--merge", "d"],
             vec!["--shard=1/0"],
             vec!["--merge="],
-            // --shard-exec misuse: missing/zero/garbled counts, or
-            // combined with the other modes.
-            vec!["--shard-exec"],
-            vec!["--shard-exec", "0"],
-            vec!["--shard-exec", "two"],
-            vec!["--shard-exec=0"],
-            vec!["--shard-exec", "2", "--shard", "1/2"],
-            vec!["--shard-exec", "2", "--merge", "d"],
-            vec!["--shard-execute", "2"],
+            // Not an option: the --shard* catch-all rejects it rather
+            // than silently running the full grid.
+            vec!["--shard-exec", "2"],
             // Typos must not silently run the full grid.
             vec!["--shard1/2"],
             vec!["--sharding", "1/2"],

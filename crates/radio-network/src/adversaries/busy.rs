@@ -69,20 +69,19 @@ mod tests {
     use super::*;
     use crate::engine::{Network, NetworkConfig};
     use crate::node::Action;
+    use crate::testing::to_sparse;
 
     #[test]
     fn targets_the_busy_channel() {
         let cfg = NetworkConfig::new(4, 1).unwrap();
         let mut net: Network<u8> = Network::new(cfg);
         // Round 0: node 0 transmits on channel 2; nobody jams yet.
-        net.resolve_round(
-            &[Action::Transmit {
-                channel: ChannelId(2),
-                frame: 1,
-            }],
-            &AdversaryAction::idle(),
-        )
-        .unwrap();
+        let pairs = to_sparse(&[Action::Transmit {
+            channel: ChannelId(2),
+            frame: 1,
+        }]);
+        net.resolve_round_sparse(&pairs, &AdversaryAction::idle())
+            .unwrap();
 
         let mut adv = BusyChannelJammer::new(5, 8);
         let view = AdversaryView {

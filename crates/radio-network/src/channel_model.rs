@@ -22,8 +22,9 @@
 //! Models draw **no** sequential randomness. Every stochastic decision is
 //! a pure function of `(model seed, round, channel, node)` through
 //! [`crate::seed::derive`], so outcomes are independent of evaluation
-//! order: the dense and sparse engines, any runner thread count, and a
-//! later replay all see byte-identical rounds.
+//! order: the engine, the reference oracle
+//! ([`crate::testing::ReferenceNetwork`]), any runner thread count, and
+//! a later replay all see byte-identical rounds.
 //!
 //! ## Two levels of divergence
 //!

@@ -1,11 +1,16 @@
 //! The round-resolution engine: pure channel semantics of the model.
 //!
+//! This is the fast implementation of the §3 round rule;
+//! [`testing::ReferenceNetwork`](crate::testing::ReferenceNetwork) is the
+//! slow, independent one it is checked against. No other round resolver
+//! exists in the workspace.
+//!
 //! ## The arena-backed round core
 //!
-//! [`Network::resolve_round`] is the innermost loop of every experiment —
-//! an f-AME epoch is millions of tiny rounds — so its steady state must
-//! not touch the allocator. All per-round state lives in a [`RoundArena`]
-//! owned by the network and reused across rounds:
+//! [`Network::resolve_round_sparse`] is the innermost loop of every
+//! experiment — an f-AME epoch is millions of tiny rounds — so its
+//! steady state must not touch the allocator. All per-round state lives
+//! in a [`RoundArena`] owned by the network and reused across rounds:
 //!
 //! * honest transmissions are gathered into a flat arena (`tx_node` /
 //!   `tx_chan`, node order) and grouped by channel through a counting-sort
@@ -34,17 +39,16 @@
 //! iterate only the (sorted) worklist. Channels never touched this round
 //! are never read or written — their stale spans/slots are fenced off by
 //! the epoch stamp — so a round over a million idle channels costs the
-//! same as a round over ten. [`Network::resolve_round_sparse`] extends
-//! the same contract to the *population*: it accepts only the actions of
-//! awake nodes as sorted `(NodeId, Action)` pairs, making round cost
-//! independent of `n` as well (the [`Simulation`](crate::Simulation)
-//! driver's wake-queue feeds it).
+//! same as a round over ten. The entry point extends the same contract
+//! to the *population*: it accepts only the actions of awake nodes as
+//! sorted `(NodeId, Action)` pairs, making round cost independent of `n`
+//! as well (the [`Simulation`](crate::Simulation) driver's wake-queue
+//! feeds it).
 //!
 //! The result: with retention off (or a [`NullSink`]) a steady-state round
 //! performs **zero** heap allocations (verified by the counting-allocator
 //! test in `tests/zero_alloc.rs`), and with a bounded in-memory window the
-//! retained records are recycled in place. Consumers that want the old
-//! owned shape call [`RoundView::to_resolution`].
+//! retained records are recycled in place.
 
 use crate::adversary::{AdversaryAction, Emission};
 use crate::channel_model::{
@@ -136,66 +140,6 @@ impl NetworkConfig {
     }
 }
 
-/// How a single channel resolved in one round (owned form; see
-/// [`OutcomeView`] for the borrowed view the engine hands out).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum ChannelOutcome<M> {
-    /// Nobody (honest or adversarial) transmitted.
-    Idle,
-    /// Exactly one honest transmitter: its frame was delivered.
-    Delivered {
-        /// The transmitting node.
-        from: NodeId,
-        /// The delivered frame.
-        frame: M,
-    },
-    /// The adversary spoofed an otherwise idle channel: forged frame delivered.
-    SpoofDelivered {
-        /// The forged frame.
-        frame: M,
-    },
-    /// Two or more transmitters (any mix of honest/adversarial): all lost.
-    Collision {
-        /// Honest transmitters involved.
-        honest: Vec<NodeId>,
-        /// `true` if the adversary contributed to the collision.
-        adversary: bool,
-    },
-    /// The adversary emitted pure noise on an otherwise idle channel
-    /// (indistinguishable from silence for listeners).
-    NoiseOnly,
-}
-
-impl<M: Clone> ChannelOutcome<M> {
-    /// The frame listeners on this channel receive (`None` = silence/collision).
-    pub fn heard(&self) -> Option<M> {
-        match self {
-            ChannelOutcome::Delivered { frame, .. } | ChannelOutcome::SpoofDelivered { frame } => {
-                Some(frame.clone())
-            }
-            _ => None,
-        }
-    }
-}
-
-/// The full resolution of one round in owned form — the escape hatch for
-/// consumers that need the round to outlive the network borrow. Produced
-/// by [`RoundView::to_resolution`]; allocates, so keep it off hot paths.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RoundResolution<M> {
-    /// Round number resolved.
-    pub round: u64,
-    /// Outcome per channel, indexed by channel id.
-    pub outcomes: Vec<ChannelOutcome<M>>,
-}
-
-impl<M: Clone> RoundResolution<M> {
-    /// What a listener tuned to `channel` hears.
-    pub fn heard_on(&self, channel: ChannelId) -> Option<M> {
-        self.outcomes[channel.index()].heard()
-    }
-}
-
 /// Compact per-channel outcome tag stored in the arena. Frames are not
 /// copied here — [`RoundView`] resolves the indices against the caller's
 /// action storage and adversary action.
@@ -213,36 +157,6 @@ enum ChannelSlot {
     Spoof { adv: u32 },
     /// Two or more transmitters (participants = the channel's span).
     Collision { adversary: bool },
-}
-
-/// The caller's action storage, dense (`actions[i]` = node `i`) or sparse
-/// (node-sorted `(NodeId, Action)` pairs of awake nodes only). The arena
-/// stores per-transmission *source indices* into this storage, so frame
-/// lookups stay O(1) on both paths.
-#[derive(Debug)]
-enum ActionsRef<'a, M> {
-    /// One action per node, indexed by node id.
-    Dense(&'a [Action<M>]),
-    /// Only the awake nodes' actions, sorted by node id.
-    Sparse(&'a [(NodeId, Action<M>)]),
-}
-
-impl<M> Clone for ActionsRef<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<M> Copy for ActionsRef<'_, M> {}
-
-impl<'a, M> ActionsRef<'a, M> {
-    #[inline]
-    fn get(&self, src: u32) -> &'a Action<M> {
-        match self {
-            ActionsRef::Dense(actions) => &actions[src as usize],
-            ActionsRef::Sparse(pairs) => &pairs[src as usize].1,
-        }
-    }
 }
 
 /// Reusable per-round storage: flat struct-of-arrays gather buffers, the
@@ -267,9 +181,8 @@ struct RoundArena<M> {
     tx_node: Vec<u32>,
     /// Channel of each transmission (parallel to `tx_node`).
     tx_chan: Vec<u32>,
-    /// Index of each transmission into the caller's action storage
-    /// (parallel to `tx_node`; equals the node id on the dense path, the
-    /// pair index on the sparse path).
+    /// Index of each transmission into the caller's `(node, action)`
+    /// pair slice (parallel to `tx_node`).
     tx_src: Vec<u32>,
     /// Channel-grouped permutation: indices into the transmission arrays,
     /// sorted by (channel, gather order) via a stable counting sort.
@@ -377,19 +290,18 @@ impl<M> RoundArena<M> {
 }
 
 /// A borrowed view of one resolved round — the allocation-free return
-/// shape of [`Network::resolve_round`].
+/// shape of [`Network::resolve_round_sparse`].
 ///
 /// The view borrows three things for its lifetime: the network's
 /// round arena (outcome tags, spans, listeners), the caller's action
 /// storage (honest frames), and the adversary action (spoofed frames).
 /// Nothing is copied; [`RoundView::heard_on`] and the outcome iterators
-/// hand out `&M`. Call [`RoundView::to_resolution`] for the owned
-/// [`RoundResolution`] escape hatch.
+/// hand out `&M`.
 #[derive(Clone, Copy, Debug)]
 pub struct RoundView<'a, M> {
     round: u64,
     arena: &'a RoundArena<M>,
-    actions: ActionsRef<'a, M>,
+    actions: &'a [(NodeId, Action<M>)],
     adversary: &'a AdversaryAction<M>,
     model: &'a dyn ChannelModel,
     model_seed: u64,
@@ -475,7 +387,7 @@ pub struct Participants<'a, M> {
     span: &'a [u32],
     tx_node: &'a [u32],
     tx_src: &'a [u32],
-    actions: ActionsRef<'a, M>,
+    actions: &'a [(NodeId, Action<M>)],
 }
 
 impl<'a, M> Participants<'a, M> {
@@ -503,7 +415,7 @@ impl<'a, M> Participants<'a, M> {
         let (tx_node, tx_src, actions) = (self.tx_node, self.tx_src, self.actions);
         self.span.iter().map(move |&tx| {
             let node = NodeId(tx_node[tx as usize] as usize);
-            match actions.get(tx_src[tx as usize]) {
+            match &actions[tx_src[tx as usize] as usize].1 {
                 Action::Transmit { frame, .. } => (node, frame),
                 _ => unreachable!("gathered transmissions come from Transmit actions"),
             }
@@ -539,7 +451,7 @@ impl<'a, M> RoundView<'a, M> {
     pub fn heard_on(&self, channel: ChannelId) -> Option<&'a M> {
         match self.slot(channel.index()) {
             ChannelSlot::Delivered { tx } => {
-                match self.actions.get(self.arena.tx_src[tx as usize]) {
+                match &self.actions[self.arena.tx_src[tx as usize] as usize].1 {
                     Action::Transmit { frame, .. } => Some(frame),
                     _ => unreachable!("delivered slot points at a Transmit action"),
                 }
@@ -569,7 +481,7 @@ impl<'a, M> RoundView<'a, M> {
             ListenerOutcome::Nothing => None,
             ListenerOutcome::Honest { idx } => {
                 let tx = ctx.transmitters.tx(idx);
-                match self.actions.get(self.arena.tx_src[tx as usize]) {
+                match &self.actions[self.arena.tx_src[tx as usize] as usize].1 {
                     Action::Transmit { frame, .. } => Some(frame),
                     _ => unreachable!("transmitter span points at Transmit actions"),
                 }
@@ -671,42 +583,13 @@ impl<'a, M> RoundView<'a, M> {
     }
 }
 
-impl<M: Clone> RoundView<'_, M> {
-    /// Materialize the owned [`RoundResolution`] — the migration escape
-    /// hatch for consumers that need the round to outlive the network
-    /// borrow. Allocates the outcome vector and clones delivered/collided
-    /// frames; steady-state consumers should use the borrowed accessors.
-    pub fn to_resolution(&self) -> RoundResolution<M> {
-        let outcomes = (0..self.channels())
-            .map(|ch| match self.outcome(ChannelId(ch)) {
-                OutcomeView::Idle => ChannelOutcome::Idle,
-                OutcomeView::NoiseOnly => ChannelOutcome::NoiseOnly,
-                OutcomeView::Delivered { from, frame } => ChannelOutcome::Delivered {
-                    from,
-                    frame: frame.clone(),
-                },
-                OutcomeView::SpoofDelivered { frame } => ChannelOutcome::SpoofDelivered {
-                    frame: frame.clone(),
-                },
-                OutcomeView::Collision { honest, adversary } => ChannelOutcome::Collision {
-                    honest: honest.nodes().collect(),
-                    adversary,
-                },
-            })
-            .collect();
-        RoundResolution {
-            round: self.round,
-            outcomes,
-        }
-    }
-}
-
 /// The radio medium: resolves rounds, hands each finished round to a
 /// [`TraceSink`], and accumulates [`Stats`].
 ///
 /// `Network` is deliberately free of nodes and adversaries — it is a pure
 /// referee. Use [`Simulation`](crate::Simulation) to drive full protocol
-/// stacks, or call [`Network::resolve_round`] directly in unit tests.
+/// stacks, or call [`Network::resolve_round_sparse`] directly in unit
+/// tests.
 #[derive(Debug)]
 pub struct Network<M> {
     cfg: NetworkConfig,
@@ -759,7 +642,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     /// `0..n`), so a run is reproducible from its seed alone and
     /// per-node streams never collide with the model's. The default of
     /// `0` is fine for ideal (seed-free) rounds and for direct
-    /// [`Network::resolve_round`] use in tests.
+    /// [`Network::resolve_round_sparse`] use in tests.
     pub fn seed_channel_model(&mut self, seed: u64) {
         self.model_seed = seed;
     }
@@ -812,9 +695,12 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         self.cfg = cfg;
     }
 
-    /// Resolve one round given every honest action and the adversary's move.
+    /// Resolve one round given only the actions of **awake** nodes, as
+    /// `(node, action)` pairs sorted strictly ascending by node id — the
+    /// engine's single entry point, fed by the
+    /// [`Simulation`](crate::Simulation) wake-queue.
     ///
-    // detlint: deny-alloc(start) round resolution (resolve_round / resolve_round_sparse / gather_one / finish)
+    // detlint: deny-alloc(start) round resolution (resolve_round_sparse / gather_one / finish)
     //
     // The static complement of tests/zero_alloc.rs: a steady-state round
     // with retention off must not allocate, and with the recycled
@@ -822,62 +708,19 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     // carrying its own allow) may. Scratch vectors reuse capacity;
     // `resize`/`push` on them is growth to the high-water mark, not a
     // per-round cost.
-    /// `actions[i]` is the action of node `i`. Returns a borrowed
-    /// [`RoundView`] over per-channel outcomes; the caller distributes
-    /// receptions to listeners (or uses [`Simulation`](crate::Simulation)
-    /// which does so automatically). The view borrows `actions` and
-    /// `adversary` alongside the network — materialize with
-    /// [`RoundView::to_resolution`] if the round must outlive them.
+    /// Every node absent from `actions` sleeps this round, so a round
+    /// costs O(`actions.len()`) rather than O(population); tests holding
+    /// a dense one-action-per-node slice convert it with
+    /// [`testing::to_sparse`](crate::testing::to_sparse). Returns a
+    /// borrowed [`RoundView`] over per-channel outcomes; the caller
+    /// distributes receptions to listeners (or uses
+    /// [`Simulation`](crate::Simulation), which does so automatically).
+    /// The view borrows `actions` and `adversary` alongside the network.
     ///
-    /// # Errors
-    ///
-    /// * [`EngineError::ChannelOutOfRange`] /
-    ///   [`EngineError::AdversaryChannelOutOfRange`] on bad channels;
-    /// * [`EngineError::AdversaryBudgetExceeded`] if the adversary used more
-    ///   than `t` channels;
-    /// * [`EngineError::AdversaryDuplicateChannel`] if it listed one channel
-    ///   twice.
-    pub fn resolve_round<'a>(
-        &'a mut self,
-        actions: &'a [Action<M>],
-        adversary: &'a AdversaryAction<M>,
-    ) -> Result<RoundView<'a, M>, EngineError> {
-        let c = self.cfg.channels();
-        self.arena.begin(c);
-
-        // -- gather + validate honest actions in one pass ------------------
-        // A validation failure may leave the arena partially filled: it is
-        // scratch, fully invalidated by the next round's `begin` (epoch
-        // bump), and no stats, round counter, or sink effect has happened
-        // yet. Honest-channel errors stay detected before the adversary
-        // checks in `finish`, exactly as the two-pass validation ordered
-        // them.
-        for (i, action) in actions.iter().enumerate() {
-            self.gather_one(i, i, action, c)?;
-        }
-
-        let round = self.round;
-        self.finish(ActionsRef::Dense(actions), adversary)?;
-        Ok(RoundView {
-            round,
-            arena: &self.arena,
-            actions: ActionsRef::Dense(actions),
-            adversary,
-            model: self.model.as_ref(),
-            model_seed: self.model_seed,
-        })
-    }
-
-    /// Resolve one round given only the actions of **awake** nodes, as
-    /// `(node, action)` pairs sorted strictly ascending by node id — the
-    /// O(active) sibling of [`Network::resolve_round`] fed by the
-    /// [`Simulation`](crate::Simulation) wake-queue.
-    ///
-    /// Every node absent from `actions` is treated exactly as if it had
-    /// submitted [`Action::Sleep`]: given the same awake set, this path
-    /// is bit-identical to the dense one (outcomes, stats, trace records
-    /// — `tests/arena_equivalence.rs` pins it), but its cost is
-    /// proportional to `actions.len()` rather than the population.
+    /// [`testing::ReferenceNetwork`](crate::testing::ReferenceNetwork) is
+    /// the independent oracle this engine is checked against
+    /// (`tests/arena_equivalence.rs`, and `replay --engine both` on the
+    /// golden corpus).
     ///
     /// # Panics
     ///
@@ -887,7 +730,12 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     ///
     /// # Errors
     ///
-    /// Same as [`Network::resolve_round`].
+    /// * [`EngineError::ChannelOutOfRange`] /
+    ///   [`EngineError::AdversaryChannelOutOfRange`] on bad channels;
+    /// * [`EngineError::AdversaryBudgetExceeded`] if the adversary used more
+    ///   than `t` channels;
+    /// * [`EngineError::AdversaryDuplicateChannel`] if it listed one channel
+    ///   twice.
     pub fn resolve_round_sparse<'a>(
         &'a mut self,
         actions: &'a [(NodeId, Action<M>)],
@@ -900,16 +748,22 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         let c = self.cfg.channels();
         self.arena.begin(c);
 
+        // -- gather + validate honest actions in one pass ------------------
+        // A validation failure may leave the arena partially filled: it is
+        // scratch, fully invalidated by the next round's `begin` (epoch
+        // bump), and no stats, round counter, or sink effect has happened
+        // yet. Honest-channel errors are detected before the adversary
+        // checks in `finish`.
         for (src, (node, action)) in actions.iter().enumerate() {
             self.gather_one(node.index(), src, action, c)?;
         }
 
         let round = self.round;
-        self.finish(ActionsRef::Sparse(actions), adversary)?;
+        self.finish(actions, adversary)?;
         Ok(RoundView {
             round,
             arena: &self.arena,
-            actions: ActionsRef::Sparse(actions),
+            actions,
             adversary,
             model: self.model.as_ref(),
             model_seed: self.model_seed,
@@ -919,7 +773,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     /// Gather one honest action into the arena: validate its channel,
     /// touch the channel onto the worklist, and append to the flat
     /// transmission/listener buffers. `src` is the action's index in the
-    /// caller's storage (= `node` on the dense path).
+    /// caller's pair slice.
     #[inline]
     fn gather_one(
         &mut self,
@@ -969,7 +823,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     /// every per-channel step iterating the active worklist only.
     fn finish(
         &mut self,
-        actions: ActionsRef<'_, M>,
+        actions: &[(NodeId, Action<M>)],
         adversary: &AdversaryAction<M>,
     ) -> Result<(), EngineError> {
         let c = self.cfg.channels();
@@ -999,8 +853,8 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         }
 
         // Channel-major worklist order: iterating the sorted active list
-        // visits channels exactly as the dense `0..C` loops did, so span
-        // layout, records, and stats are bit-identical to the dense path.
+        // visits channels exactly as a dense `0..C` loop would, so span
+        // layout, records, and stats match the reference oracle's.
         self.arena.active.sort_unstable();
 
         // -- group by channel: spans + stable counting-sort permutations ---
@@ -1224,7 +1078,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
                     record
                         .tx_channels
                         .push(ChannelId(tx_chan[tx as usize] as usize));
-                    match actions.get(tx_src[tx as usize]) {
+                    match &actions[tx_src[tx as usize] as usize].1 {
                         // detlint: allow(deny-alloc) retention cost: frame clone into the capacity-reusing record arena; free for Copy frames (zero_alloc.rs pins it)
                         Action::Transmit { frame, .. } => record.tx_frames.push(frame.clone()),
                         _ => unreachable!("gathered transmissions come from Transmit actions"),
@@ -1249,14 +1103,16 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
                 record.delivered_frames.clear();
                 for &ch in active.iter() {
                     match slots[ch as usize] {
-                        ChannelSlot::Delivered { tx } => match actions.get(tx_src[tx as usize]) {
-                            Action::Transmit { frame, .. } => {
-                                record.delivered_channels.push(ChannelId(ch as usize));
-                                // detlint: allow(deny-alloc) retention cost: delivered-frame clone into the capacity-reusing record arena
-                                record.delivered_frames.push(frame.clone());
+                        ChannelSlot::Delivered { tx } => {
+                            match &actions[tx_src[tx as usize] as usize].1 {
+                                Action::Transmit { frame, .. } => {
+                                    record.delivered_channels.push(ChannelId(ch as usize));
+                                    // detlint: allow(deny-alloc) retention cost: delivered-frame clone into the capacity-reusing record arena
+                                    record.delivered_frames.push(frame.clone());
+                                }
+                                _ => unreachable!("delivered slot points at a Transmit action"),
                             }
-                            _ => unreachable!("delivered slot points at a Transmit action"),
-                        },
+                        }
                         ChannelSlot::Spoof { adv } => {
                             match &adversary.transmissions[adv as usize].1 {
                                 Emission::Spoof(frame) => {
@@ -1307,7 +1163,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
                                 ListenerOutcome::Nothing => None,
                                 ListenerOutcome::Honest { idx } => {
                                     let tx = ctx.transmitters.tx(idx);
-                                    match actions.get(tx_src[tx as usize]) {
+                                    match &actions[tx_src[tx as usize] as usize].1 {
                                         Action::Transmit { frame, .. } => {
                                             // detlint: allow(deny-alloc) retention cost: diverging-reception frame clone into the capacity-reusing record arena
                                             Some(frame.clone())
@@ -1348,6 +1204,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{to_sparse, ChannelOutcome};
 
     fn cfg() -> NetworkConfig {
         NetworkConfig::new(3, 2).unwrap()
@@ -1366,15 +1223,17 @@ mod tests {
         }
     }
 
-    /// Resolve one round and materialize the owned resolution (test
-    /// convenience around the borrowed view).
+    /// Resolve one round of a dense action slice and materialize the
+    /// owned per-channel outcomes (test convenience around the borrowed
+    /// view).
     fn resolve(
         net: &mut Network<u32>,
         actions: &[Action<u32>],
         adversary: AdversaryAction<u32>,
-    ) -> Result<RoundResolution<u32>, EngineError> {
-        net.resolve_round(actions, &adversary)
-            .map(|view| view.to_resolution())
+    ) -> Result<Vec<ChannelOutcome<u32>>, EngineError> {
+        let pairs = to_sparse(actions);
+        net.resolve_round_sparse(&pairs, &adversary)
+            .map(|view| view.outcomes().map(ChannelOutcome::from).collect())
     }
 
     fn record_transmissions(rec: &RoundRecord<u32>) -> Vec<(NodeId, ChannelId, u32)> {
@@ -1413,8 +1272,8 @@ mod tests {
             AdversaryAction::idle(),
         )
         .unwrap();
-        assert_eq!(res.heard_on(ChannelId(0)), Some(7));
-        assert_eq!(res.heard_on(ChannelId(1)), None);
+        assert_eq!(res[0].heard(), Some(7));
+        assert_eq!(res[1].heard(), None);
         assert_eq!(net.stats().honest_deliveries, 1);
         assert_eq!(net.stats().frames_received, 1);
         assert_eq!(net.stats().silent_receptions, 1);
@@ -1423,15 +1282,15 @@ mod tests {
     #[test]
     fn view_borrows_frames_without_cloning() {
         let mut net: Network<u32> = Network::new(cfg());
-        let actions = [tx(0, 7), listen(0), listen(1)];
+        let pairs = to_sparse(&[tx(0, 7), listen(0), listen(1)]);
         let adv = AdversaryAction::idle();
-        let view = net.resolve_round(&actions, &adv).unwrap();
+        let view = net.resolve_round_sparse(&pairs, &adv).unwrap();
         assert_eq!(view.round(), 0);
         assert_eq!(view.channels(), 3);
         // The delivered frame is literally the one in the action slice.
         assert!(std::ptr::eq(
             view.heard_on(ChannelId(0)).unwrap(),
-            match &actions[0] {
+            match &pairs[0].1 {
                 Action::Transmit { frame, .. } => frame,
                 _ => unreachable!(),
             }
@@ -1464,9 +1323,9 @@ mod tests {
     #[test]
     fn two_honest_transmitters_collide() {
         let mut net: Network<u32> = Network::new(cfg());
-        let actions = [tx(0, 1), tx(0, 2), listen(0)];
+        let pairs = to_sparse(&[tx(0, 1), tx(0, 2), listen(0)]);
         let adv = AdversaryAction::idle();
-        let view = net.resolve_round(&actions, &adv).unwrap();
+        let view = net.resolve_round_sparse(&pairs, &adv).unwrap();
         assert_eq!(view.heard_on(ChannelId(0)), None);
         match view.outcome(ChannelId(0)) {
             OutcomeView::Collision { honest, adversary } => {
@@ -1480,9 +1339,8 @@ mod tests {
             }
             other => panic!("expected collision, got {other:?}"),
         }
-        let res = view.to_resolution();
         assert!(matches!(
-            res.outcomes[0],
+            ChannelOutcome::from(view.outcome(ChannelId(0))),
             ChannelOutcome::Collision {
                 ref honest,
                 adversary: false
@@ -1496,7 +1354,7 @@ mod tests {
         let mut net: Network<u32> = Network::new(cfg());
         let adv = AdversaryAction::jam([ChannelId(0)]);
         let res = resolve(&mut net, &[tx(0, 1), listen(0)], adv).unwrap();
-        assert_eq!(res.heard_on(ChannelId(0)), None);
+        assert_eq!(res[0].heard(), None);
         assert_eq!(net.stats().jams_effective, 1);
         assert_eq!(net.stats().collisions, 1);
     }
@@ -1507,7 +1365,7 @@ mod tests {
         let mut adv = AdversaryAction::idle();
         adv.push(ChannelId(1), Emission::Spoof(666));
         let res = resolve(&mut net, &[listen(1)], adv).unwrap();
-        assert_eq!(res.heard_on(ChannelId(1)), Some(666));
+        assert_eq!(res[1].heard(), Some(666));
         assert_eq!(net.stats().spoofs_delivered, 1);
     }
 
@@ -1517,7 +1375,7 @@ mod tests {
         let mut adv = AdversaryAction::idle();
         adv.push(ChannelId(0), Emission::Spoof(666));
         let res = resolve(&mut net, &[tx(0, 1), listen(0)], adv).unwrap();
-        assert_eq!(res.heard_on(ChannelId(0)), None);
+        assert_eq!(res[0].heard(), None);
         assert_eq!(net.stats().spoofs_delivered, 0);
         assert_eq!(net.stats().jams_effective, 1);
     }
@@ -1558,8 +1416,8 @@ mod tests {
         let mut net: Network<u32> = Network::new(cfg());
         let adv = AdversaryAction::jam([ChannelId(2)]);
         let res = resolve(&mut net, &[listen(2)], adv).unwrap();
-        assert_eq!(res.heard_on(ChannelId(2)), None);
-        assert!(matches!(res.outcomes[2], ChannelOutcome::NoiseOnly));
+        assert_eq!(res[2].heard(), None);
+        assert!(matches!(res[2], ChannelOutcome::NoiseOnly));
     }
 
     #[test]
@@ -1629,44 +1487,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_path_matches_dense_round_by_round() {
-        // The same execution through `resolve_round` (with explicit
-        // Sleeps) and `resolve_round_sparse` (sleepers omitted):
-        // resolutions, stats, and retained records must be identical.
-        let mut dense: Network<u32> = Network::new(cfg());
-        let mut sparse: Network<u32> = Network::new(cfg());
-        for round in 0..12u32 {
-            let actions: Vec<Action<u32>> = (0..8)
-                .map(|i| match (i + round as usize) % 4 {
-                    0 => tx((i + round as usize) % 3, round * 100 + i as u32),
-                    1 => listen(i % 3),
-                    _ => Action::Sleep,
-                })
-                .collect();
-            let pairs: Vec<(NodeId, Action<u32>)> = actions
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| !matches!(a, Action::Sleep))
-                .map(|(i, a)| (NodeId(i), a.clone()))
-                .collect();
-            let adv = AdversaryAction::jam([ChannelId(round as usize % 3)]);
-            let a = dense.resolve_round(&actions, &adv).unwrap().to_resolution();
-            let b = sparse
-                .resolve_round_sparse(&pairs, &adv)
-                .unwrap()
-                .to_resolution();
-            assert_eq!(a, b);
-        }
-        assert_eq!(dense.stats(), sparse.stats());
-        assert!(dense
-            .trace()
-            .records()
-            .zip(sparse.trace().records())
-            .all(|(a, b)| a == b));
-        assert_eq!(dense.trace().len(), sparse.trace().len());
-    }
-
-    #[test]
     fn untouched_channels_resolve_idle_despite_stale_slots() {
         // Sparse rounds never visit untouched channels, so their arena
         // slots still hold the previous round's tags — the epoch fence
@@ -1715,11 +1535,11 @@ mod tests {
             AdversaryAction::idle(),
         )
         .unwrap();
-        assert_eq!(res.heard_on(ChannelId(0)), None);
-        assert_eq!(res.heard_on(ChannelId(1)), None);
-        assert_eq!(res.heard_on(ChannelId(2)), Some(7));
-        assert!(matches!(res.outcomes[0], ChannelOutcome::Idle));
-        assert!(matches!(res.outcomes[1], ChannelOutcome::Idle));
+        assert_eq!(res[0].heard(), None);
+        assert_eq!(res[1].heard(), None);
+        assert_eq!(res[2].heard(), Some(7));
+        assert!(matches!(res[0], ChannelOutcome::Idle));
+        assert!(matches!(res[1], ChannelOutcome::Idle));
         let rec = net.trace().last().unwrap();
         assert_eq!(
             record_transmissions(rec),
@@ -1759,14 +1579,14 @@ mod tests {
             listen(0),
         ];
         let res = resolve(&mut net, &actions, AdversaryAction::idle()).unwrap();
-        assert_eq!(res.outcomes.len(), 5);
-        assert_eq!(res.heard_on(ChannelId(4)), Some(40));
-        assert_eq!(res.heard_on(ChannelId(3)), None);
-        assert!(matches!(res.outcomes[3], ChannelOutcome::Idle));
-        assert!(matches!(res.outcomes[1], ChannelOutcome::Idle));
-        assert!(matches!(res.outcomes[2], ChannelOutcome::Idle));
+        assert_eq!(res.len(), 5);
+        assert_eq!(res[4].heard(), Some(40));
+        assert_eq!(res[3].heard(), None);
+        assert!(matches!(res[3], ChannelOutcome::Idle));
+        assert!(matches!(res[1], ChannelOutcome::Idle));
+        assert!(matches!(res[2], ChannelOutcome::Idle));
         assert!(matches!(
-            res.outcomes[0],
+            res[0],
             ChannelOutcome::Collision {
                 ref honest,
                 adversary: false
@@ -1790,9 +1610,9 @@ mod tests {
         // Shrink back to 2 channels: channel ids 2..5 must be gone.
         net.reconfigure(NetworkConfig::new(2, 1).unwrap());
         let res = resolve(&mut net, &[listen(1), tx(1, 5)], AdversaryAction::idle()).unwrap();
-        assert_eq!(res.outcomes.len(), 2);
-        assert_eq!(res.heard_on(ChannelId(1)), Some(5));
-        assert!(matches!(res.outcomes[0], ChannelOutcome::Idle));
+        assert_eq!(res.len(), 2);
+        assert_eq!(res[1].heard(), Some(5));
+        assert!(matches!(res[0], ChannelOutcome::Idle));
         let rec = net.trace().last().unwrap();
         assert_eq!(record_delivered(rec), vec![None, Some(5)]);
         assert_eq!(
@@ -1810,7 +1630,7 @@ mod tests {
         let mut fresh: Network<u32> = Network::new(NetworkConfig::new(2, 1).unwrap());
         let fresh_res =
             resolve(&mut fresh, &[listen(1), tx(1, 5)], AdversaryAction::idle()).unwrap();
-        assert_eq!(fresh_res.outcomes, res.outcomes);
+        assert_eq!(fresh_res, res);
     }
 
     #[test]

@@ -28,12 +28,15 @@
 //!   the §3 channel semantics above. Its round loop is arena-backed and
 //!   **activity-proportional**: an epoch-stamped active-channel worklist
 //!   plus per-channel transmitter/listener spans make a round cost
-//!   O(active channels + participants), not O(C) — and
-//!   [`Network::resolve_round_sparse`] accepts only the awake nodes'
-//!   actions so cost is independent of `n` too. Both entry points return
-//!   a borrowed [`RoundView`] over reused flat storage, so steady-state
-//!   rounds are allocation-free (owned escape hatch:
-//!   [`RoundView::to_resolution`]).
+//!   O(active channels + participants), not O(C) — and its single entry
+//!   point, [`Network::resolve_round_sparse`], accepts only the awake
+//!   nodes' actions so cost is independent of `n` too. It returns a
+//!   borrowed [`RoundView`] over reused flat storage, so steady-state
+//!   rounds are allocation-free.
+//! * [`testing::ReferenceNetwork`] (`testing`) — the §3 rule written out
+//!   plainly (per-channel `Vec`s, owned [`testing::ChannelOutcome`]s):
+//!   the one independent oracle the engine is property-tested against,
+//!   and the `dense` side of `replay --engine both`.
 //! * [`Protocol`] (`node`) — the state-machine trait honest §3 nodes
 //!   implement, including the sleep/wake contract
 //!   ([`Protocol::next_wake`] / [`NEVER`]) that lets long-sleeping nodes
@@ -100,9 +103,7 @@ pub use channel_model::{
     ChannelContext, ChannelModel, ChannelModelSpec, ChannelVerdict, EmissionKind, ListenerOutcome,
     TxSpan,
 };
-pub use engine::{
-    ChannelOutcome, Network, NetworkConfig, OutcomeView, Participants, RoundResolution, RoundView,
-};
+pub use engine::{Network, NetworkConfig, OutcomeView, Participants, RoundView};
 pub use error::EngineError;
 pub use node::{Action, ChannelId, NodeId, Protocol, Reception, NEVER};
 pub use simulation::{Inspector, Simulation, SimulationReport};

@@ -2,8 +2,9 @@
 //!
 //! The engine used to push every record onto an in-memory `Vec`; under
 //! [`TraceRetention::All`] that retention dominated both the time and the
-//! memory of [`Network::resolve_round`](crate::Network::resolve_round) on
-//! long runs. A [`TraceSink`] decouples *observing* the network from
+//! memory of
+//! [`Network::resolve_round_sparse`](crate::Network::resolve_round_sparse)
+//! on long runs. A [`TraceSink`] decouples *observing* the network from
 //! *storing* the observation:
 //!
 //! * [`InMemorySink`] — the classic behavior: retain records in a
@@ -35,7 +36,7 @@ use crate::trace::{RoundRecord, Trace, TraceRetention};
 
 /// A destination for finished [`RoundRecord`]s.
 ///
-/// [`Network::resolve_round`](crate::Network::resolve_round) hands each
+/// [`Network::resolve_round_sparse`](crate::Network::resolve_round_sparse) hands each
 /// completed round to exactly one sink: the full record when
 /// [`TraceSink::wants_records`] is `true`, a bare
 /// [`TraceSink::note_round`] tick otherwise (in which case the engine

@@ -1,144 +1,24 @@
-//! The arena-backed round core is **bit-identical** to the pre-refactor
-//! engine.
+//! The arena-backed engine agrees with the reference oracle.
 //!
-//! `reference` below is a faithful reimplementation of the engine as it
-//! stood before the `RoundArena`/`RoundView` refactor: per-channel gather
-//! `Vec`s, owned `RoundResolution` returns, per-round record
-//! construction, the same stats accounting. The property tests drive both
-//! engines through identical multi-round executions — arbitrary honest
-//! action mixes, arbitrary jam/spoof adversary moves, and the roster's
-//! history-mining adversaries (random, spoofing, busy-window) whose moves
-//! are derived from the retained trace — and require equal outcomes,
-//! equal [`Stats`], and equal retained trace records after every round.
+//! [`ReferenceNetwork`] is the plain, per-channel-`Vec` implementation of
+//! the §3 round rule in `radio_network::testing`. The property tests drive
+//! the engine (through its sparse entry point, sleepers omitted) and the
+//! oracle (dense, one action per node) through identical multi-round
+//! executions — arbitrary honest action mixes, arbitrary jam/spoof
+//! adversary moves, hostile out-of-range/duplicate/over-budget moves, the
+//! roster's history-mining adversaries, and every non-ideal channel
+//! model — and require, after every round, equal outcomes (or equal
+//! errors), equal per-listener receptions, equal [`Stats`], and equal
+//! retained trace records, under every [`TraceRetention`].
 
 use proptest::prelude::*;
 
 use radio_network::adversaries::{BusyChannelJammer, RandomJammer, Spoofer};
+use radio_network::testing::{to_sparse, ChannelOutcome, ReferenceNetwork};
 use radio_network::{
-    Action, Adversary, AdversaryAction, AdversaryView, ChannelId, ChannelModelSpec, ChannelOutcome,
-    Emission, Network, NetworkConfig, NodeId, RoundRecord, RoundResolution, Stats, Trace,
-    TraceRetention,
+    Action, Adversary, AdversaryAction, AdversaryView, ChannelId, ChannelModelSpec, Emission,
+    Network, NetworkConfig, NodeId, Stats, TraceRetention,
 };
-
-/// The pre-refactor round engine, kept simple rather than fast.
-mod reference {
-    use super::*;
-
-    pub struct ReferenceNetwork {
-        channels: usize,
-        round: u64,
-        pub stats: Stats,
-        pub trace: Trace<u32>,
-    }
-
-    impl ReferenceNetwork {
-        pub fn new(channels: usize, retention: TraceRetention) -> Self {
-            ReferenceNetwork {
-                channels,
-                round: 0,
-                stats: Stats::default(),
-                trace: Trace::new(retention),
-            }
-        }
-
-        pub fn resolve_round(
-            &mut self,
-            actions: &[Action<u32>],
-            adversary: &AdversaryAction<u32>,
-        ) -> RoundResolution<u32> {
-            let c = self.channels;
-            let mut honest_tx: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); c];
-            let mut listeners: Vec<(NodeId, ChannelId)> = Vec::new();
-            for (i, action) in actions.iter().enumerate() {
-                match action {
-                    Action::Transmit { channel, frame } => {
-                        honest_tx[channel.index()].push((NodeId(i), *frame));
-                    }
-                    Action::Listen { channel } => listeners.push((NodeId(i), *channel)),
-                    Action::Sleep => {}
-                }
-            }
-            let mut adv_tx: Vec<Option<&Emission<u32>>> = vec![None; c];
-            for (ch, emission) in &adversary.transmissions {
-                assert!(adv_tx[ch.index()].is_none(), "duplicate adversary channel");
-                adv_tx[ch.index()] = Some(emission);
-            }
-
-            let mut outcomes: Vec<ChannelOutcome<u32>> = Vec::with_capacity(c);
-            for ch in 0..c {
-                let honest = &honest_tx[ch];
-                let outcome = match (honest.len(), adv_tx[ch]) {
-                    (0, None) => ChannelOutcome::Idle,
-                    (0, Some(Emission::Noise)) => ChannelOutcome::NoiseOnly,
-                    (0, Some(Emission::Spoof(frame))) => {
-                        ChannelOutcome::SpoofDelivered { frame: *frame }
-                    }
-                    (1, None) => {
-                        let (from, frame) = honest[0];
-                        ChannelOutcome::Delivered { from, frame }
-                    }
-                    _ => ChannelOutcome::Collision {
-                        honest: honest.iter().map(|&(id, _)| id).collect(),
-                        adversary: adv_tx[ch].is_some(),
-                    },
-                };
-                outcomes.push(outcome);
-            }
-
-            self.stats.rounds += 1;
-            self.stats.adversary_transmissions += adversary.len() as u64;
-            for (ch, outcome) in outcomes.iter().enumerate() {
-                match outcome {
-                    ChannelOutcome::Delivered { .. } => {
-                        self.stats.honest_transmissions += 1;
-                        self.stats.honest_deliveries += 1;
-                    }
-                    ChannelOutcome::SpoofDelivered { .. } => {
-                        if listeners.iter().any(|&(_, l)| l.index() == ch) {
-                            self.stats.spoofs_delivered += 1;
-                        }
-                    }
-                    ChannelOutcome::Collision { honest, adversary } => {
-                        self.stats.honest_transmissions += honest.len() as u64;
-                        self.stats.collisions += honest.len() as u64;
-                        if *adversary {
-                            self.stats.jams_effective += 1;
-                        }
-                    }
-                    ChannelOutcome::Idle | ChannelOutcome::NoiseOnly => {}
-                }
-            }
-            for &(_, ch) in &listeners {
-                match outcomes[ch.index()].heard() {
-                    Some(_) => self.stats.frames_received += 1,
-                    None => self.stats.silent_receptions += 1,
-                }
-            }
-
-            let delivered: Vec<Option<u32>> = outcomes.iter().map(ChannelOutcome::heard).collect();
-            let mut transmissions = Vec::new();
-            for (ch, txs) in honest_tx.iter().enumerate() {
-                for &(id, frame) in txs {
-                    transmissions.push((id, ChannelId(ch), frame));
-                }
-            }
-            self.trace.push(RoundRecord::from_parts(
-                self.round,
-                transmissions,
-                listeners,
-                adversary.transmissions.clone(),
-                delivered,
-            ));
-
-            let resolution = RoundResolution {
-                round: self.round,
-                outcomes,
-            };
-            self.round += 1;
-            resolution
-        }
-    }
-}
 
 #[derive(Clone, Debug)]
 enum GenAction {
@@ -162,35 +42,26 @@ fn to_actions(gen: &[GenAction]) -> Vec<Action<u32>> {
         .collect()
 }
 
-fn arb_round(
-    c: usize,
-    n: usize,
-    t: usize,
-) -> impl Strategy<Value = (Vec<GenAction>, Vec<(usize, Option<u32>)>)> {
-    let actions = proptest::collection::vec(
+fn arb_actions(c: usize, n: usize) -> impl Strategy<Value = Vec<GenAction>> {
+    proptest::collection::vec(
         prop_oneof![
             (0..c, any::<u32>()).prop_map(|(ch, f)| GenAction::Transmit(ch, f)),
             (0..c).prop_map(GenAction::Listen),
             Just(GenAction::Sleep),
         ],
         n,
-    );
+    )
+}
+
+fn arb_round(
+    c: usize,
+    n: usize,
+    t: usize,
+) -> impl Strategy<Value = (Vec<GenAction>, Vec<(usize, Option<u32>)>)> {
     let adversary =
         proptest::collection::btree_map(0..c, proptest::option::of(any::<u32>()), 0..=t)
             .prop_map(|m| m.into_iter().collect::<Vec<_>>());
-    (actions, adversary)
-}
-
-/// The sparse form of a dense action slice: awake (non-Sleep) nodes only,
-/// as node-sorted pairs — exactly what the wake-queue driver feeds
-/// [`Network::resolve_round_sparse`].
-fn to_sparse(actions: &[Action<u32>]) -> Vec<(NodeId, Action<u32>)> {
-    actions
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| !matches!(a, Action::Sleep))
-        .map(|(i, a)| (NodeId(i), a.clone()))
-        .collect()
+    (arb_actions(c, n), adversary)
 }
 
 fn to_adversary(gen: &[(usize, Option<u32>)]) -> AdversaryAction<u32> {
@@ -207,152 +78,199 @@ fn to_adversary(gen: &[(usize, Option<u32>)]) -> AdversaryAction<u32> {
     action
 }
 
-/// Compare the engine against the reference after every round of an
-/// execution: resolutions, stats, completed-round counts, and every
-/// retained record.
-fn assert_equivalent_execution(
-    retention: TraceRetention,
-    c: usize,
-    t: usize,
-    rounds: &[(Vec<Action<u32>>, AdversaryAction<u32>)],
-) {
-    let cfg = NetworkConfig::new(c, t).unwrap().with_retention(retention);
-    let mut engine: Network<u32> = Network::new(cfg);
-    let mut reference = reference::ReferenceNetwork::new(c, retention);
-    for (actions, adversary) in rounds {
-        let expected = reference.resolve_round(actions, adversary);
-        let view = engine.resolve_round(actions, adversary).unwrap();
-        assert_eq!(view.to_resolution(), expected);
-        assert_eq!(engine.stats(), &reference.stats);
-        assert_eq!(
-            engine.trace().completed_rounds(),
-            reference.trace.completed_rounds()
-        );
-        assert_eq!(engine.trace().len(), reference.trace.len());
-        assert!(engine
-            .trace()
-            .records()
-            .zip(reference.trace.records())
-            .all(|(a, b)| a == b));
+fn arb_retention() -> impl Strategy<Value = TraceRetention> {
+    prop_oneof![
+        Just(TraceRetention::All),
+        Just(TraceRetention::LastRounds(3)),
+        Just(TraceRetention::None),
+    ]
+}
+
+/// The non-ideal channel models, with parameters spanning their regimes
+/// (no loss to total loss, always-capture to never-capture, radii from
+/// deaf to all-hearing on a 16×16 grid).
+fn arb_model() -> impl Strategy<Value = ChannelModelSpec> {
+    prop_oneof![
+        (0..=1_000_000u32).prop_map(|p_loss_ppm| ChannelModelSpec::Lossy { p_loss_ppm }),
+        (0..1100u32).prop_map(|threshold| ChannelModelSpec::Capture { threshold }),
+        (
+            proptest::collection::vec((0..16u64, 0..16u64), 0..12),
+            0..24u64
+        )
+            .prop_map(|(grid, radius)| ChannelModelSpec::Geometric {
+                positions: grid
+                    .into_iter()
+                    .map(|(x, y)| (x as i64, y as i64))
+                    .collect(),
+                radius,
+            }),
+    ]
+}
+
+/// A deterministic, channel-skewed honest schedule for the roster tests
+/// (some collisions, some clean deliveries, rotating listeners).
+fn roster_actions(c: usize, n: usize, round: u64) -> Vec<Action<u32>> {
+    (0..n)
+        .map(|i| match (i + round as usize) % 4 {
+            0 => Action::Transmit {
+                channel: ChannelId(i % 2),
+                frame: (round as u32) * 100 + i as u32,
+            },
+            1 => Action::Transmit {
+                channel: ChannelId(2 + (i + round as usize) % (c - 2)),
+                frame: (round as u32) * 100 + i as u32,
+            },
+            2 => Action::Listen {
+                channel: ChannelId((i + round as usize) % c),
+            },
+            _ => Action::Sleep,
+        })
+        .collect()
+}
+
+fn roster_adversary(seed: u64, kind: usize) -> Box<dyn Adversary<u32>> {
+    match kind {
+        0 => Box::new(RandomJammer::new(seed)),
+        1 => Box::new(Spoofer::new(seed, |round, ch: ChannelId| {
+            (round as u32) << 8 | ch.index() as u32
+        })),
+        _ => Box::new(BusyChannelJammer::new(seed, 6)),
     }
+}
+
+/// The engine and the oracle for one configuration, with the same model
+/// seed.
+fn pair(cfg: NetworkConfig, model_seed: u64) -> (Network<u32>, ReferenceNetwork<u32>) {
+    let mut engine = Network::new(cfg.clone());
+    let mut oracle = ReferenceNetwork::new(cfg);
+    engine.seed_channel_model(model_seed);
+    oracle.seed_channel_model(model_seed);
+    (engine, oracle)
+}
+
+/// Resolve one round on both implementations and require identical
+/// results: the outcomes (or the error), every listener's reception,
+/// the stats, the round counters, and every retained record.
+fn assert_same_round(
+    engine: &mut Network<u32>,
+    oracle: &mut ReferenceNetwork<u32>,
+    actions: &[Action<u32>],
+    adversary: &AdversaryAction<u32>,
+) {
+    let pairs = to_sparse(actions);
+    let expected = oracle.resolve_round_dense(actions, adversary);
+    match engine.resolve_round_sparse(&pairs, adversary) {
+        Ok(view) => {
+            let outcomes: Vec<ChannelOutcome<u32>> =
+                view.outcomes().map(ChannelOutcome::from).collect();
+            assert_eq!(Ok(outcomes), expected);
+            let receptions: Vec<(NodeId, Option<u32>)> = view
+                .listeners()
+                .iter()
+                .map(|&(node, ch)| (node, view.reception_for(node, ch).copied()))
+                .collect();
+            assert_eq!(receptions, oracle.receptions());
+        }
+        Err(err) => assert_eq!(Err(err), expected),
+    }
+    let stats: &Stats = engine.stats();
+    assert_eq!(stats, oracle.stats());
+    assert_eq!(engine.round(), oracle.round());
+    assert_eq!(
+        engine.trace().completed_rounds(),
+        oracle.trace().completed_rounds()
+    );
+    assert_eq!(engine.trace().len(), oracle.trace().len());
+    assert!(engine.trace().records().eq(oracle.trace().records()));
 }
 
 proptest! {
     /// Arbitrary multi-round executions under arbitrary jam/spoof moves:
-    /// the arena engine and the reference agree on every outcome, every
-    /// stat, and every retained record, across all retention policies.
+    /// engine and oracle agree on every outcome, reception, stat, and
+    /// retained record, across all retention policies.
     #[test]
     fn arena_engine_matches_reference(
         rounds in proptest::collection::vec(arb_round(4, 10, 2), 1..12),
-        retention in prop_oneof![
-            Just(TraceRetention::All),
-            Just(TraceRetention::LastRounds(3)),
-            Just(TraceRetention::None),
-        ],
-    ) {
-        let rounds: Vec<(Vec<Action<u32>>, AdversaryAction<u32>)> = rounds
-            .iter()
-            .map(|(gen, adv)| (to_actions(gen), to_adversary(adv)))
-            .collect();
-        assert_equivalent_execution(retention, 4, 2, &rounds);
-    }
-
-    /// The sparse entry point is bit-identical to the dense one: the same
-    /// execution through `resolve_round` (sleepers as explicit `Sleep`)
-    /// and `resolve_round_sparse` (sleepers omitted) yields the same
-    /// resolutions, stats, and retained records under every retention
-    /// policy — and both match the pre-refactor reference.
-    #[test]
-    fn sparse_engine_matches_dense_and_reference(
-        rounds in proptest::collection::vec(arb_round(4, 10, 2), 1..12),
-        retention in prop_oneof![
-            Just(TraceRetention::All),
-            Just(TraceRetention::LastRounds(3)),
-            Just(TraceRetention::None),
-        ],
+        retention in arb_retention(),
     ) {
         let cfg = NetworkConfig::new(4, 2).unwrap().with_retention(retention);
-        let mut dense: Network<u32> = Network::new(cfg.clone());
-        let mut sparse: Network<u32> = Network::new(cfg);
-        let mut reference = reference::ReferenceNetwork::new(4, retention);
+        let (mut engine, mut oracle) = pair(cfg, 0);
         for (gen, adv) in &rounds {
-            let actions = to_actions(gen);
-            let pairs = to_sparse(&actions);
-            let adversary = to_adversary(adv);
-            let expected = reference.resolve_round(&actions, &adversary);
-            let d = dense.resolve_round(&actions, &adversary).unwrap().to_resolution();
-            let s = sparse
-                .resolve_round_sparse(&pairs, &adversary)
-                .unwrap()
-                .to_resolution();
-            prop_assert_eq!(&d, &expected);
-            prop_assert_eq!(&s, &expected);
-            prop_assert_eq!(dense.stats(), sparse.stats());
-            prop_assert_eq!(sparse.stats(), &reference.stats);
-            prop_assert_eq!(dense.trace().len(), sparse.trace().len());
-            prop_assert_eq!(
-                sparse.trace().completed_rounds(),
-                reference.trace.completed_rounds()
-            );
-            prop_assert!(dense
-                .trace()
-                .records()
-                .zip(sparse.trace().records())
-                .all(|(a, b)| a == b));
-            prop_assert!(sparse
-                .trace()
-                .records()
-                .zip(reference.trace.records())
-                .all(|(a, b)| a == b));
+            assert_same_round(&mut engine, &mut oracle, &to_actions(gen), &to_adversary(adv));
+        }
+    }
+
+    /// Hostile rounds — honest channels past `C`, adversary moves on
+    /// out-of-range channels, the same channel twice, or over budget —
+    /// interleaved with valid ones: both implementations return the same
+    /// error (checked in the same order) and a rejected round changes
+    /// nothing on either side.
+    #[test]
+    fn hostile_rounds_fail_identically(
+        rounds in proptest::collection::vec(
+            (
+                arb_actions(5, 8),
+                proptest::collection::vec((0..6usize, proptest::option::of(any::<u32>())), 0..5),
+            ),
+            1..12,
+        ),
+        retention in arb_retention(),
+    ) {
+        // C = 4, so honest channel 4 and adversary channels 4..6 are out
+        // of range; the adversary list may repeat channels and exceed t.
+        let cfg = NetworkConfig::new(4, 2).unwrap().with_retention(retention);
+        let (mut engine, mut oracle) = pair(cfg, 0);
+        for (gen, adv) in &rounds {
+            assert_same_round(&mut engine, &mut oracle, &to_actions(gen), &to_adversary(adv));
+        }
+    }
+
+    /// The non-ideal models (lossy, capture, geometric) under arbitrary
+    /// executions and every retention policy: the engine's wire
+    /// outcomes, per-listener `reception_for`, stats, and recorded
+    /// diverging receptions all match the oracle's plain reading of the
+    /// same model.
+    #[test]
+    fn non_ideal_models_match_reference(
+        model in arb_model(),
+        model_seed in any::<u64>(),
+        rounds in proptest::collection::vec(arb_round(4, 12, 2), 1..10),
+        retention in arb_retention(),
+    ) {
+        let cfg = NetworkConfig::new(4, 2)
+            .unwrap()
+            .with_retention(retention)
+            .with_channel_model(model);
+        let (mut engine, mut oracle) = pair(cfg, model_seed);
+        for (gen, adv) in &rounds {
+            assert_same_round(&mut engine, &mut oracle, &to_actions(gen), &to_adversary(adv));
         }
     }
 
     /// The roster's trace-mining adversaries (random jammer, spoofer,
-    /// busy-window jammer) against a scripted honest schedule: adversary
-    /// moves are derived from the engine's retained trace each round, so
-    /// this exercises the record arena, the recycled bounded window, and
-    /// history-dependent behavior end to end.
+    /// busy-window jammer) against a scripted honest schedule, under
+    /// every retention policy: adversary moves are derived from the
+    /// engine's retained trace each round, so this exercises the record
+    /// arena, the recycled bounded window, and history-dependent
+    /// behavior end to end. (A divergence in any retained record would
+    /// also skew the adversary's future moves, so the execution itself
+    /// is a sensitive detector.)
     #[test]
-    fn roster_adversaries_stay_bit_identical(
+    fn roster_adversaries_match_reference(
         seed in any::<u64>(),
         kind in 0..3usize,
         rounds in 4..40usize,
+        retention in prop_oneof![
+            Just(TraceRetention::All),
+            Just(TraceRetention::LastRounds(8)),
+            Just(TraceRetention::None),
+        ],
     ) {
         let (c, t, n) = (5, 2, 12);
-        let cfg = NetworkConfig::new(c, t)
-            .unwrap()
-            .with_retention(TraceRetention::LastRounds(8));
-        let mut engine: Network<u32> = Network::new(cfg);
-        let mut reference =
-            reference::ReferenceNetwork::new(c, TraceRetention::LastRounds(8));
-        let mut adversary: Box<dyn Adversary<u32>> = match kind {
-            0 => Box::new(RandomJammer::new(seed)),
-            1 => Box::new(Spoofer::new(seed, |round, ch: ChannelId| {
-                (round as u32) << 8 | ch.index() as u32
-            })),
-            _ => Box::new(BusyChannelJammer::new(seed, 6)),
-        };
+        let cfg = NetworkConfig::new(c, t).unwrap().with_retention(retention);
+        let (mut engine, mut oracle) = pair(cfg, 0);
+        let mut adversary = roster_adversary(seed, kind);
         for round in 0..rounds as u64 {
-            // A deterministic, channel-skewed honest schedule (some
-            // collisions, some clean deliveries, rotating listeners).
-            let actions: Vec<Action<u32>> = (0..n)
-                .map(|i| match (i + round as usize) % 4 {
-                    0 => Action::Transmit {
-                        channel: ChannelId(i % 2),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    1 => Action::Transmit {
-                        channel: ChannelId(2 + (i + round as usize) % (c - 2)),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    2 => Action::Listen {
-                        channel: ChannelId((i + round as usize) % c),
-                    },
-                    _ => Action::Sleep,
-                })
-                .collect();
-            // The adversary mines the ENGINE's trace; the reference must
-            // have retained the identical history for this to stay fair.
             let view = AdversaryView {
                 channels: c,
                 budget: t,
@@ -360,29 +278,15 @@ proptest! {
                 trace: engine.trace(),
             };
             let adv_action = adversary.act(round, &view);
-            let expected = reference.resolve_round(&actions, &adv_action);
-            let got = engine
-                .resolve_round(&actions, &adv_action)
-                .unwrap()
-                .to_resolution();
-            prop_assert_eq!(got, expected);
-            prop_assert_eq!(engine.stats(), &reference.stats);
-            prop_assert_eq!(engine.trace().len(), reference.trace.len());
-            prop_assert!(engine
-                .trace()
-                .records()
-                .zip(reference.trace.records())
-                .all(|(a, b)| a == b));
+            assert_same_round(&mut engine, &mut oracle, &roster_actions(c, n, round), &adv_action);
         }
     }
 
     /// Selecting [`ChannelModelSpec::Ideal`] explicitly is bit-identical
-    /// to the default (model-less) configuration — on the dense AND the
-    /// sparse path, under every retention policy, against the
-    /// history-mining roster. This is the guarantee that lets the
-    /// committed BENCH files and golden corpus stay valid across the
-    /// channel-model refactor: threading the trait through the engine
-    /// changed no ideal-path byte.
+    /// to the default (model-less) configuration under every retention
+    /// policy, against the history-mining roster — whatever the model
+    /// seed. This is the guarantee that lets the committed BENCH files
+    /// and golden corpus stay valid across the channel-model refactor.
     #[test]
     fn explicit_ideal_model_is_bit_identical_to_default(
         seed in any::<u64>(),
@@ -396,150 +300,40 @@ proptest! {
     ) {
         let (c, t, n) = (5, 2, 12);
         let cfg = NetworkConfig::new(c, t).unwrap().with_retention(retention);
-        let cfg_ideal = cfg.clone().with_channel_model(ChannelModelSpec::Ideal);
-        let mut default_dense: Network<u32> = Network::new(cfg);
-        let mut ideal_dense: Network<u32> = Network::new(cfg_ideal.clone());
-        let mut ideal_sparse: Network<u32> = Network::new(cfg_ideal);
-        // The model seed must be irrelevant under Ideal; give the
-        // explicit-model engines one anyway to prove it.
-        ideal_dense.seed_channel_model(seed ^ 0xDEAD_BEEF);
-        ideal_sparse.seed_channel_model(!seed);
-        let mut adversary: Box<dyn Adversary<u32>> = match kind {
-            0 => Box::new(RandomJammer::new(seed)),
-            1 => Box::new(Spoofer::new(seed, |round, ch: ChannelId| {
-                (round as u32) << 8 | ch.index() as u32
-            })),
-            _ => Box::new(BusyChannelJammer::new(seed, 6)),
-        };
+        let mut default: Network<u32> = Network::new(cfg.clone());
+        let mut ideal: Network<u32> =
+            Network::new(cfg.with_channel_model(ChannelModelSpec::Ideal));
+        ideal.seed_channel_model(seed ^ 0xDEAD_BEEF);
+        let mut adversary = roster_adversary(seed, kind);
         for round in 0..rounds as u64 {
-            let actions: Vec<Action<u32>> = (0..n)
-                .map(|i| match (i + round as usize) % 4 {
-                    0 => Action::Transmit {
-                        channel: ChannelId(i % 2),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    1 => Action::Transmit {
-                        channel: ChannelId(2 + (i + round as usize) % (c - 2)),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    2 => Action::Listen {
-                        channel: ChannelId((i + round as usize) % c),
-                    },
-                    _ => Action::Sleep,
-                })
-                .collect();
-            let pairs = to_sparse(&actions);
+            let pairs = to_sparse(&roster_actions(c, n, round));
             let view = AdversaryView {
                 channels: c,
                 budget: t,
                 nodes: n,
-                trace: default_dense.trace(),
+                trace: default.trace(),
             };
             let adv_action = adversary.act(round, &view);
-            let expected = default_dense
-                .resolve_round(&actions, &adv_action)
-                .unwrap()
-                .to_resolution();
-            let got_dense = ideal_dense
-                .resolve_round(&actions, &adv_action)
-                .unwrap()
-                .to_resolution();
-            let got_sparse = ideal_sparse
+            let expected: Vec<ChannelOutcome<u32>> = default
                 .resolve_round_sparse(&pairs, &adv_action)
                 .unwrap()
-                .to_resolution();
-            prop_assert_eq!(&got_dense, &expected);
-            prop_assert_eq!(&got_sparse, &expected);
-            prop_assert_eq!(default_dense.stats(), ideal_dense.stats());
-            prop_assert_eq!(default_dense.stats(), ideal_sparse.stats());
-            prop_assert_eq!(default_dense.trace().len(), ideal_dense.trace().len());
-            prop_assert!(default_dense
-                .trace()
-                .records()
-                .zip(ideal_dense.trace().records())
-                .all(|(a, b)| a == b && a.reception_nodes.is_empty()));
-            prop_assert!(default_dense
-                .trace()
-                .records()
-                .zip(ideal_sparse.trace().records())
-                .all(|(a, b)| a == b));
-        }
-    }
-
-    /// Sparse resolution against the full trace-mining adversary roster,
-    /// under every retention mode: the adversary mines the *dense*
-    /// engine's trace, both engines resolve the identical round, and the
-    /// sparse one must stay bit-identical round by round — outcomes,
-    /// stats, and retained records. (A divergence in any retained record
-    /// would also skew the adversary's future moves, so the execution
-    /// itself is a sensitive detector.)
-    #[test]
-    fn sparse_roster_stays_bit_identical(
-        seed in any::<u64>(),
-        kind in 0..3usize,
-        rounds in 4..40usize,
-        retention in prop_oneof![
-            Just(TraceRetention::All),
-            Just(TraceRetention::LastRounds(8)),
-            Just(TraceRetention::None),
-        ],
-    ) {
-        let (c, t, n) = (5, 2, 12);
-        let cfg = NetworkConfig::new(c, t).unwrap().with_retention(retention);
-        let mut dense: Network<u32> = Network::new(cfg.clone());
-        let mut sparse: Network<u32> = Network::new(cfg);
-        let mut adversary: Box<dyn Adversary<u32>> = match kind {
-            0 => Box::new(RandomJammer::new(seed)),
-            1 => Box::new(Spoofer::new(seed, |round, ch: ChannelId| {
-                (round as u32) << 8 | ch.index() as u32
-            })),
-            _ => Box::new(BusyChannelJammer::new(seed, 6)),
-        };
-        for round in 0..rounds as u64 {
-            let actions: Vec<Action<u32>> = (0..n)
-                .map(|i| match (i + round as usize) % 4 {
-                    0 => Action::Transmit {
-                        channel: ChannelId(i % 2),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    1 => Action::Transmit {
-                        channel: ChannelId(2 + (i + round as usize) % (c - 2)),
-                        frame: (round as u32) * 100 + i as u32,
-                    },
-                    2 => Action::Listen {
-                        channel: ChannelId((i + round as usize) % c),
-                    },
-                    _ => Action::Sleep,
-                })
+                .outcomes()
+                .map(ChannelOutcome::from)
                 .collect();
-            let pairs = to_sparse(&actions);
-            let view = AdversaryView {
-                channels: c,
-                budget: t,
-                nodes: n,
-                trace: dense.trace(),
-            };
-            let adv_action = adversary.act(round, &view);
-            let expected = dense
-                .resolve_round(&actions, &adv_action)
-                .unwrap()
-                .to_resolution();
-            let got = sparse
+            let got: Vec<ChannelOutcome<u32>> = ideal
                 .resolve_round_sparse(&pairs, &adv_action)
                 .unwrap()
-                .to_resolution();
+                .outcomes()
+                .map(ChannelOutcome::from)
+                .collect();
             prop_assert_eq!(got, expected);
-            prop_assert_eq!(dense.stats(), sparse.stats());
-            prop_assert_eq!(dense.trace().len(), sparse.trace().len());
-            prop_assert_eq!(
-                dense.trace().completed_rounds(),
-                sparse.trace().completed_rounds()
-            );
-            prop_assert!(dense
+            prop_assert_eq!(default.stats(), ideal.stats());
+            prop_assert_eq!(default.trace().len(), ideal.trace().len());
+            prop_assert!(default
                 .trace()
                 .records()
-                .zip(sparse.trace().records())
-                .all(|(a, b)| a == b));
+                .zip(ideal.trace().records())
+                .all(|(a, b)| a == b && a.reception_nodes.is_empty()));
         }
     }
 }

@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 
+use radio_network::testing::{to_sparse, ChannelOutcome};
 use radio_network::{
-    Action, AdversaryAction, ChannelId, ChannelOutcome, Emission, Network, NetworkConfig,
-    OutcomeView,
+    Action, AdversaryAction, ChannelId, Emission, Network, NetworkConfig, OutcomeView,
 };
 
 #[derive(Clone, Debug)]
@@ -45,6 +45,20 @@ fn to_actions(gen: &[GenAction]) -> Vec<Action<u32>> {
         .collect()
 }
 
+/// Resolve one round of a dense action slice and materialize the owned
+/// per-channel outcomes.
+fn resolve(
+    net: &mut Network<u32>,
+    actions: &[Action<u32>],
+    adversary: &AdversaryAction<u32>,
+) -> Vec<ChannelOutcome<u32>> {
+    net.resolve_round_sparse(&to_sparse(actions), adversary)
+        .unwrap()
+        .outcomes()
+        .map(ChannelOutcome::from)
+        .collect()
+}
+
 fn to_adversary(gen: &[(usize, Option<u32>)]) -> AdversaryAction<u32> {
     let mut action = AdversaryAction::idle();
     for &(ch, spoof) in gen {
@@ -71,16 +85,17 @@ proptest! {
         let mut net: Network<u32> = Network::new(cfg);
         let actions = to_actions(&gen);
         let adversary = to_adversary(&adv);
-        let resolution = net.resolve_round(&actions, &adversary).unwrap().to_resolution();
+        let outcomes = resolve(&mut net, &actions, &adversary);
 
-        for ch in 0..4 {
+        prop_assert_eq!(outcomes.len(), 4);
+        for (ch, outcome) in outcomes.iter().enumerate() {
             let honest: Vec<u32> = gen.iter().filter_map(|g| match g {
                 GenAction::Transmit(c, f) if *c == ch => Some(*f),
                 _ => None,
             }).collect();
             let adv_here = adv.iter().find(|(c, _)| *c == ch);
             let total = honest.len() + usize::from(adv_here.is_some());
-            let heard = resolution.heard_on(ChannelId(ch));
+            let heard = outcome.heard();
             match total {
                 1 => {
                     if honest.len() == 1 {
@@ -98,56 +113,34 @@ proptest! {
         }
     }
 
-    /// The borrowed view and the owned resolution agree channel by channel.
+    /// The view's accessors agree channel by channel: `heard_on` is the
+    /// outcome's frame, and collision participants lost exactly the
+    /// frames they transmitted.
     #[test]
-    fn view_agrees_with_owned_resolution(
+    fn view_accessors_agree(
         gen in arb_actions(4, 12),
         adv in arb_adversary(4, 2),
     ) {
         let cfg = NetworkConfig::new(4, 2).unwrap();
         let mut net: Network<u32> = Network::new(cfg);
         let actions = to_actions(&gen);
+        let pairs = to_sparse(&actions);
         let adversary = to_adversary(&adv);
-        let view = net.resolve_round(&actions, &adversary).unwrap();
-        let owned = view.to_resolution();
-        prop_assert_eq!(view.round(), owned.round);
-        prop_assert_eq!(view.channels(), owned.outcomes.len());
+        let view = net.resolve_round_sparse(&pairs, &adversary).unwrap();
+        prop_assert_eq!(view.round(), 0);
+        prop_assert_eq!(view.channels(), 4);
         for ch in 0..view.channels() {
             let channel = ChannelId(ch);
-            prop_assert_eq!(view.heard_on(channel).copied(), owned.heard_on(channel));
-            match (view.outcome(channel), &owned.outcomes[ch]) {
-                (OutcomeView::Idle, ChannelOutcome::Idle)
-                | (OutcomeView::NoiseOnly, ChannelOutcome::NoiseOnly) => {}
-                (
-                    OutcomeView::Delivered { from, frame },
-                    ChannelOutcome::Delivered { from: of, frame: off },
-                ) => {
-                    prop_assert_eq!(from, *of);
-                    prop_assert_eq!(frame, off);
-                }
-                (
-                    OutcomeView::SpoofDelivered { frame },
-                    ChannelOutcome::SpoofDelivered { frame: off },
-                ) => prop_assert_eq!(frame, off),
-                (
-                    OutcomeView::Collision { honest, adversary },
-                    ChannelOutcome::Collision { honest: oh, adversary: oa },
-                ) => {
-                    prop_assert_eq!(adversary, *oa);
-                    prop_assert_eq!(honest.len(), oh.len());
-                    prop_assert_eq!(&honest.nodes().collect::<Vec<_>>(), oh);
-                    // Collision participants' frames match their actions.
-                    for (node, frame) in honest.frames() {
-                        match &actions[node.index()] {
-                            Action::Transmit { frame: f, .. } => prop_assert_eq!(frame, f),
-                            other => prop_assert!(false, "non-transmit participant {other:?}"),
-                        }
+            let outcome = view.outcome(channel);
+            prop_assert_eq!(view.heard_on(channel), outcome.heard());
+            if let OutcomeView::Collision { honest, .. } = outcome {
+                prop_assert_eq!(honest.len(), honest.nodes().count());
+                for (node, frame) in honest.frames() {
+                    match &actions[node.index()] {
+                        Action::Transmit { frame: f, .. } => prop_assert_eq!(frame, f),
+                        other => prop_assert!(false, "non-transmit participant {other:?}"),
                     }
                 }
-                (view_outcome, owned_outcome) => prop_assert!(
-                    false,
-                    "view {view_outcome:?} disagrees with owned {owned_outcome:?}"
-                ),
             }
         }
     }
@@ -163,7 +156,7 @@ proptest! {
         let mut net: Network<u32> = Network::new(cfg);
         let actions = to_actions(&gen);
         let adversary = to_adversary(&adv);
-        net.resolve_round(&actions, &adversary).unwrap();
+        net.resolve_round_sparse(&to_sparse(&actions), &adversary).unwrap();
         let stats = net.stats();
         let tx_count = gen.iter().filter(|g| matches!(g, GenAction::Transmit(..))).count() as u64;
         prop_assert_eq!(stats.honest_transmissions, tx_count);
@@ -183,16 +176,14 @@ proptest! {
         let mut net: Network<u32> = Network::new(cfg);
         let actions = to_actions(&gen);
         let adversary = to_adversary(&adv);
-        let resolution = net.resolve_round(&actions, &adversary).unwrap().to_resolution();
+        let outcomes = resolve(&mut net, &actions, &adversary);
         let rec = net.trace().last().unwrap();
         let tx_count = gen.iter().filter(|g| matches!(g, GenAction::Transmit(..))).count();
         prop_assert_eq!(rec.transmissions().count(), tx_count);
         prop_assert_eq!(rec.adversary().count(), adv.len());
-        for ch in 0..3 {
-            prop_assert_eq!(
-                rec.delivered_on(ChannelId(ch)).copied(),
-                resolution.heard_on(ChannelId(ch))
-            );
+        prop_assert_eq!(outcomes.len(), 3);
+        for (ch, outcome) in outcomes.iter().enumerate() {
+            prop_assert_eq!(rec.delivered_on(ChannelId(ch)).copied(), outcome.heard());
         }
     }
 
@@ -206,8 +197,8 @@ proptest! {
         let mut net: Network<u32> = Network::new(cfg);
         let actions = to_actions(&gen);
         let adversary = to_adversary(&adv);
-        let resolution = net.resolve_round(&actions, &adversary).unwrap().to_resolution();
-        for outcome in &resolution.outcomes {
+        let outcomes = resolve(&mut net, &actions, &adversary);
+        for outcome in &outcomes {
             match outcome {
                 ChannelOutcome::Delivered { .. } | ChannelOutcome::SpoofDelivered { .. } => {
                     prop_assert!(outcome.heard().is_some());

@@ -22,8 +22,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use radio_network::adversaries::NoAdversary;
+use radio_network::testing::to_sparse;
 use radio_network::{
-    Action, AdversaryAction, ChannelId, ChannelModelSpec, Network, NetworkConfig, NullSink,
+    Action, AdversaryAction, ChannelId, ChannelModelSpec, Network, NetworkConfig, NodeId, NullSink,
     Protocol, Reception, Simulation, TraceRetention,
 };
 
@@ -103,12 +104,16 @@ const NODES: usize = 64;
 const WARMUP: usize = 256;
 const MEASURED: usize = 512;
 
+/// The awake `(node, action)` pairs of one round, per round of a
+/// schedule.
+type Schedule = Vec<Vec<(NodeId, Action<u64>)>>;
+
 /// One deterministic round schedule: transmitters (some colliding),
 /// listeners, sleepers — the same mix `benches/engine_hot_path.rs` times.
-fn schedule() -> Vec<Vec<Action<u64>>> {
+fn schedule() -> Schedule {
     (0..64)
         .map(|round| {
-            (0..NODES)
+            let actions: Vec<Action<u64>> = (0..NODES)
                 .map(|i| match i % 4 {
                     0 => Action::Transmit {
                         channel: ChannelId((i + round) % CHANNELS),
@@ -119,7 +124,8 @@ fn schedule() -> Vec<Vec<Action<u64>>> {
                     },
                     _ => Action::Sleep,
                 })
-                .collect()
+                .collect();
+            to_sparse(&actions)
         })
         .collect()
 }
@@ -127,10 +133,10 @@ fn schedule() -> Vec<Vec<Action<u64>>> {
 /// Like [`schedule`], but with exactly one transmitter per channel (the
 /// [`LeanNode`] pattern), so channels actually deliver — the shape the
 /// lossy model needs: only deliverable frames can be dropped.
-fn lone_tx_schedule() -> Vec<Vec<Action<u64>>> {
+fn lone_tx_schedule() -> Schedule {
     (0..64)
         .map(|round| {
-            (0..NODES)
+            let actions: Vec<Action<u64>> = (0..NODES)
                 .map(|i| match i % 8 {
                     0 => Action::Transmit {
                         channel: ChannelId((i / 8 + round) % CHANNELS),
@@ -141,7 +147,8 @@ fn lone_tx_schedule() -> Vec<Vec<Action<u64>>> {
                     },
                     _ => Action::Sleep,
                 })
-                .collect()
+                .collect();
+            to_sparse(&actions)
         })
         .collect()
 }
@@ -150,7 +157,7 @@ fn lone_tx_schedule() -> Vec<Vec<Action<u64>>> {
 /// jamming adversary action, consuming each view without materializing.
 fn drive(
     net: &mut Network<u64>,
-    schedule: &[Vec<Action<u64>>],
+    schedule: &[Vec<(NodeId, Action<u64>)>],
     adversaries: &[AdversaryAction<u64>],
     rounds: usize,
 ) -> usize {
@@ -158,7 +165,7 @@ fn drive(
     for r in 0..rounds {
         let acts = &schedule[r % schedule.len()];
         let adv = &adversaries[r % adversaries.len()];
-        let view = net.resolve_round(acts, adv).expect("round resolves");
+        let view = net.resolve_round_sparse(acts, adv).expect("round resolves");
         for ch in 0..view.channels() {
             if view.heard_on(ChannelId(ch)).is_some() {
                 delivered += 1;
@@ -256,7 +263,7 @@ impl Protocol for SparseNode {
 #[test]
 fn steady_state_round_loop_allocates_nothing() {
     let schedule = schedule();
-    // Adversary actions built once and *reused* (resolve_round borrows
+    // Adversary actions built once and *reused* (the engine borrows
     // them) — jamming included, so the zero covers collision accounting.
     let adversaries: Vec<AdversaryAction<u64>> = (0..schedule.len())
         .map(|r| AdversaryAction::jam([ChannelId(r % CHANNELS), ChannelId((r + 3) % CHANNELS)]))

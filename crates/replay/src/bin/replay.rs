@@ -9,7 +9,10 @@
 //!
 //! Replays a recorded trace through the [`replay::ScriptedAdversary`]
 //! against the honest side described by the trace's `.meta.json`
-//! sidecar, and compares the re-encoded rounds byte-for-byte. On a
+//! sidecar, and compares the re-encoded rounds byte-for-byte —
+//! `--engine dense` through the independent
+//! `radio_network::testing::ReferenceNetwork` oracle, `sparse` through
+//! the production engine, `both` (the default) through each. On a
 //! mismatch, the first divergent round is printed with both records
 //! pretty-printed; with `--expect-identical` that is also a non-zero
 //! exit. `--mutate <round>` corrupts the expected side of one round

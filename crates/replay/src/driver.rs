@@ -1,5 +1,5 @@
 //! Replay drivers: a sink that captures re-encoded trace lines, and a
-//! dense reference driver equivalent to the sparse [`radio_network::Simulation`] loop.
+//! dense driver over the independent reference oracle.
 //!
 //! [`CollectorSink`] is the replay-side counterpart of
 //! [`radio_network::ChannelSink`]: every resolved round is re-encoded
@@ -7,20 +7,23 @@
 //! rendering) into an in-memory line list, so a replayed run can be
 //! compared byte-for-byte against the original file.
 //!
-//! [`run_dense`] drives **all** nodes through
-//! [`Network::resolve_round`] every round — no wake queue. By the
+//! [`run_dense`] drives **all** nodes every round — no wake queue —
+//! through [`ReferenceNetwork`], the plain second implementation of the
+//! §3 round rule that shares no resolution code with the engine. By the
 //! [`radio_network::Protocol`] sleep contract (`next_wake` is "purely a
 //! cost optimization and must not change behavior"), this produces the
-//! same execution as [`radio_network::Simulation`]'s sparse `resolve_round_sparse`
-//! loop; the differential tests pin that equivalence on real traces.
+//! same execution as [`radio_network::Simulation`]'s sparse engine loop,
+//! so `--engine both` is a real differential: the differential tests and
+//! the golden corpus pin that equivalence on real traces.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use radio_network::seed;
+use radio_network::testing::ReferenceNetwork;
 use radio_network::{
-    Action, Adversary, AdversaryView, Network, NetworkConfig, NodeId, Protocol, Reception,
-    RoundRecord, Trace, TraceRetention, TraceSink,
+    Action, Adversary, AdversaryView, NetworkConfig, Protocol, Reception, RoundRecord, Trace,
+    TraceRetention, TraceSink,
 };
 
 pub use radio_network::record_line;
@@ -28,7 +31,7 @@ pub use radio_network::record_line;
 /// Which round-resolution engine drives a replay.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineMode {
-    /// All nodes through [`Network::resolve_round`] every round.
+    /// All nodes through the [`ReferenceNetwork`] oracle every round.
     Dense,
     /// The production [`radio_network::Simulation`] wake-queue loop
     /// (`resolve_round_sparse`).
@@ -114,11 +117,12 @@ impl<M: Clone + fmt::Debug + Send> TraceSink<M> for CollectorSink<M> {
     }
 }
 
-/// Drive `nodes` for exactly `rounds` rounds with the dense engine,
-/// mirroring [`radio_network::Simulation`]'s per-round order: the adversary acts first
-/// (seeing the retained trace), then every node's `begin_round`, then
-/// [`Network::resolve_round`], then every node's `end_round` (with a
-/// [`Reception`] iff it listened). Nodes are reseeded with
+/// Drive `nodes` for exactly `rounds` rounds through the
+/// [`ReferenceNetwork`] oracle, mirroring [`radio_network::Simulation`]'s
+/// per-round order: the adversary acts first (seeing the retained
+/// trace), then every node's `begin_round`, then
+/// [`ReferenceNetwork::resolve_round_dense`], then every node's `end_round`
+/// (with a [`Reception`] iff it listened). Nodes are reseeded with
 /// [`seed::derive`]`(seed, i)` exactly as [`radio_network::Simulation::new`] does.
 ///
 /// # Errors
@@ -138,7 +142,7 @@ where
     A: Adversary<P::Msg>,
 {
     let (channels, budget) = (cfg.channels(), cfg.budget());
-    let mut network = Network::with_sink(cfg, sink);
+    let mut network = ReferenceNetwork::with_sink(cfg, sink);
     // Same reserved stream Simulation::assemble uses, so a model-bearing
     // replay is bit-identical to the original sparse run.
     network.seed_channel_model(seed::derive(seed, u64::MAX));
@@ -161,14 +165,20 @@ where
         for node in nodes.iter_mut() {
             actions.push(node.begin_round(round));
         }
-        let resolution = network
-            .resolve_round(&actions, &adversary_action)
+        network
+            .resolve_round_dense(&actions, &adversary_action)
             .map_err(|e| format!("round {round}: {e}"))?;
-        for (i, node) in nodes.iter_mut().enumerate() {
-            let reception = match &actions[i] {
+        // One reception per listener, in node order.
+        let mut receptions = network.receptions().iter();
+        for (node, action) in nodes.iter_mut().zip(&actions) {
+            let reception = match action {
                 Action::Listen { channel } => Some(Reception {
                     channel: *channel,
-                    frame: resolution.reception_for(NodeId(i), *channel),
+                    frame: receptions
+                        .next()
+                        .expect("the oracle reports every listener")
+                        .1
+                        .as_ref(),
                 }),
                 _ => None,
             };
@@ -190,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_driver_matches_simulation_byte_for_byte() {
+    fn oracle_driver_matches_simulation_byte_for_byte() {
         let cfg = NetworkConfig::new(3, 1)
             .expect("valid config")
             .with_retention(TraceRetention::LastRounds(4));

@@ -197,8 +197,8 @@ where
         EngineMode::Sparse => {
             let mut sim = Simulation::with_sink(cfg, nodes, scripted, seed, Box::new(sink))
                 .map_err(|e| format!("assemble replay simulation: {e}"))?;
-            for _ in 0..rounds {
-                sim.step().map_err(|e| format!("replay step: {e}"))?;
+            for round in 0..rounds {
+                sim.step().map_err(|e| format!("round {round}: {e}"))?;
             }
         }
     }

@@ -15,14 +15,16 @@
 //! - [`scripted`] wraps a parsed schedule in [`ScriptedAdversary`], which
 //!   re-emits the recorded adversary moves verbatim through the normal
 //!   [`radio_network::Adversary`] trait — so a recorded run can be
-//!   re-driven against any protocol variant, engine (dense or sparse),
-//!   or [`radio_network::TraceRetention`].
+//!   re-driven against any protocol variant, resolver (the dense
+//!   reference oracle or the sparse engine), or
+//!   [`radio_network::TraceRetention`].
 //! - [`frames`] decodes the `Debug`-encoded [`fame::FameFrame`] strings
 //!   that spoofing adversaries inject.
 //! - [`driver`] drives a replay: a [`CollectorSink`] that captures the
 //!   re-encoded lines, and [`run_dense`], a dense all-nodes-every-round
-//!   driver equivalent (by the [`radio_network::Protocol`] sleep
-//!   contract) to the sparse [`radio_network::Simulation`] loop.
+//!   driver over [`radio_network::testing::ReferenceNetwork`], equivalent
+//!   (by the [`radio_network::Protocol`] sleep contract) to the sparse
+//!   [`radio_network::Simulation`] loop.
 //! - [`differ`] compares original and replayed lines and names the first
 //!   divergent round, both records pretty-printed.
 //! - [`harness`] ties it together for the two recorded protocol shapes

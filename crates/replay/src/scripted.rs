@@ -5,9 +5,9 @@
 //! handed — in particular it never mines the retained trace the way
 //! `BusyChannelJammer` or the omniscient jammers do — so a replay is
 //! independent of the engine's [`radio_network::TraceRetention`] and of
-//! which engine (dense or sparse) resolves the rounds. Rounds past the
-//! end of the script, and rounds missing from a gap-skipped trace, are
-//! replayed as idle.
+//! which resolver (dense oracle or sparse engine) resolves the rounds.
+//! Rounds past the end of the script, and rounds missing from a
+//! gap-skipped trace, are replayed as idle.
 
 use radio_network::{Adversary, AdversaryAction, AdversaryView, RoundRecord};
 
