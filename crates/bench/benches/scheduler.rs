@@ -1,15 +1,14 @@
-//! Scheduler bench: contiguous per-thread chunking (a faithful copy of the
-//! pre-work-stealing `ExperimentRunner::run`) vs the work-stealing runner,
-//! on two trial mixes:
+//! Scheduler bench: the sequential runner (`ExperimentRunner::sequential`,
+//! the reference execution order) vs the work-stealing runner at
+//! `THREADS` workers, on two trial mixes:
 //!
 //! * **skewed** — the first `TRIALS/THREADS` trials cost ~100× the rest,
-//!   so chunking serializes every expensive trial onto one worker while
-//!   stealing spreads them across all workers;
-//! * **uniform** — every trial costs the same, the best case for
-//!   chunking; stealing must not regress here beyond claim-counter noise.
+//!   the "slow scenario prefix" of real sweeps (omniscient jammers first,
+//!   cheap baselines after); stealing spreads them across all workers;
+//! * **uniform** — every trial costs the same.
 //!
 //! Besides the usual criterion output, `main` writes the measured times to
-//! `BENCH_scheduler.json` so the chunked-vs-stealing delta is tracked
+//! `BENCH_scheduler.json` so the sequential-vs-stealing delta is tracked
 //! in-repo.
 
 use criterion::{black_box, summaries_json, Criterion, Summary};
@@ -37,11 +36,7 @@ fn spin(seed: u64, spins: u64) -> TrialOutcome {
     }
 }
 
-/// The adversarial shape for chunking: the first chunk (trials
-/// `0..TRIALS/THREADS`) carries all the expensive trials — the "slow
-/// scenario prefix" seen in real sweeps (omniscient jammers first, cheap
-/// baselines after) — so one worker serializes them while the others idle;
-/// stealing spreads them across all workers.
+/// The expensive trials all sit in the prefix `0..TRIALS/THREADS`.
 fn skewed(ctx: &TrialCtx<'_>) -> Result<TrialOutcome, TrialError> {
     let spins = if ctx.trial < TRIALS / THREADS {
         EXPENSIVE_SPINS
@@ -53,42 +48,6 @@ fn skewed(ctx: &TrialCtx<'_>) -> Result<TrialOutcome, TrialError> {
 
 fn uniform(ctx: &TrialCtx<'_>) -> Result<TrialOutcome, TrialError> {
     Ok(spin(ctx.seed, CHEAP_SPINS))
-}
-
-/// A faithful reproduction of `ExperimentRunner::run` as it was before the
-/// work-stealing refactor: trials dealt to threads in contiguous chunks up
-/// front, each worker marching through its chunk in order.
-mod chunked {
-    use super::*;
-
-    pub fn run<F>(threads: usize, spec: &ScenarioSpec, trial: F) -> Vec<TrialOutcome>
-    where
-        F: Fn(&TrialCtx<'_>) -> Result<TrialOutcome, TrialError> + Sync,
-    {
-        let trials = spec.trials;
-        let mut slots: Vec<Option<Result<TrialOutcome, TrialError>>> = vec![None; trials];
-        let chunk = trials.div_ceil(threads).max(1);
-        thread::scope(|scope| {
-            for (chunk_idx, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-                let trial = &trial;
-                scope.spawn(move || {
-                    for (offset, slot) in chunk_slots.iter_mut().enumerate() {
-                        let index = chunk_idx * chunk + offset;
-                        let ctx = TrialCtx {
-                            spec,
-                            trial: index,
-                            seed: spec.trial_seed(index),
-                        };
-                        *slot = Some(trial(&ctx));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every trial slot filled").expect("trial ok"))
-            .collect()
-    }
 }
 
 fn main() {
@@ -105,8 +64,9 @@ fn main() {
     ] {
         let mut group = c.benchmark_group(&format!("scheduler/{mix}"));
         group.sample_size(15);
-        group.bench_function("chunked", |b| {
-            b.iter(|| black_box(chunked::run(THREADS, &spec, trial)))
+        group.bench_function("sequential", |b| {
+            let runner = ExperimentRunner::sequential();
+            b.iter(|| black_box(runner.run(&spec, trial).expect("runs")))
         });
         group.bench_function("stealing", |b| {
             let runner = ExperimentRunner::with_threads(THREADS);
@@ -115,17 +75,19 @@ fn main() {
         group.finish();
     }
 
-    // Sanity: both schedulers produce identical outcome vectors.
-    let a = chunked::run(THREADS, &spec, skewed);
-    let b = ExperimentRunner::with_threads(THREADS)
+    // Sanity: both schedulers produce identical results.
+    let sequential = ExperimentRunner::sequential()
         .run(&spec, skewed)
         .expect("runs");
-    assert_eq!(a, b.outcomes, "schedulers disagree on outcomes");
+    let stealing = ExperimentRunner::with_threads(THREADS)
+        .run(&spec, skewed)
+        .expect("runs");
+    assert_eq!(sequential, stealing, "schedulers disagree on outcomes");
 
     let summaries: Vec<Summary> = c.take_summaries();
     if summaries.iter().all(|s| s.median_ns > 0.0) {
         // The delta only materializes with real cores: on a 1-core host
-        // both schedulers serialize and measure ~1x. Record the host's
+        // both runners serialize and measure ~1x. Record the host's
         // parallelism next to the numbers so they stay interpretable.
         let host = thread::available_parallelism().map_or(1, |n| n.get());
         let json = format!(
@@ -146,12 +108,12 @@ fn main() {
                     .find(|s| s.id == format!("scheduler/{mix}/{needle}"))
                     .map(|s| s.median_ns)
             };
-            if let (Some(chunked), Some(stealing)) = (median("chunked"), median("stealing")) {
+            if let (Some(sequential), Some(stealing)) = (median("sequential"), median("stealing")) {
                 println!(
-                    "{mix}: chunked {:.2} ms -> stealing {:.2} ms ({:.2}x)",
-                    chunked / 1e6,
+                    "{mix}: sequential {:.2} ms -> stealing {:.2} ms ({:.2}x)",
+                    sequential / 1e6,
                     stealing / 1e6,
-                    chunked / stealing
+                    sequential / stealing
                 );
             }
         }

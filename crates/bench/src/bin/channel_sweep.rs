@@ -6,7 +6,7 @@
 //! (escape probability `(C−t)/C` rises) and — past `2t` — bigger game
 //! moves. The regime boundaries of Figure 3 appear as visible knees.
 //!
-//! Runs through [`ExperimentRunner`]: every channel count is a
+//! Runs through [`Experiment`]: every channel count is a
 //! [`ScenarioSpec`] whose trials execute in parallel with deterministic
 //! per-trial seeds; aggregates land in `BENCH_channel_sweep.json`.
 //!
@@ -17,22 +17,18 @@
 //! count) records instead of blocking when the writer falls behind.
 //!
 //! Supports the shared sharding contract (`--shard k/N`, `--merge <dir>`;
-//! see `secure_radio_bench::shard`) for splitting the sweep across
+//! see `secure_radio_bench::experiment`) for splitting the sweep across
 //! processes or machines.
 
 use fame::Params;
 use secure_radio_bench::{
-    smoke, smoke_trials, AdversaryChoice, Aggregate, ExperimentRunner, ScenarioSpec, ShardMode,
-    ShardedReport, Table, TraceOutput, Workload,
+    smoke, smoke_trials, Accepts, AdversaryChoice, Aggregate, Experiment, ScenarioSpec, Table,
+    Workload,
 };
 
 fn main() {
     let seed = 0xC5EE9;
-    let shard = ShardMode::from_args();
-    if shard.handle_merge("channel_sweep") {
-        return;
-    }
-    let trace = TraceOutput::from_args();
+    let mut exp = Experiment::new("channel_sweep", Accepts::TRACES);
     let trials = smoke_trials(8);
     let t = 2;
     // n large enough for every C in the sweep.
@@ -47,11 +43,9 @@ fn main() {
          ({trials} trials/point)\n"
     );
 
-    let runner = ExperimentRunner::new();
     let mut headers = vec!["C", "regime", "cap", "feedback mode"];
     headers.extend(Aggregate::table_headers());
     let mut table = Table::new("f-AME cost per channel count (random jammer)", &headers);
-    let mut report = ShardedReport::new("channel_sweep", shard);
 
     // Smoke mode samples the regime endpoints instead of the full curve.
     let channel_counts: Vec<usize> = if smoke() {
@@ -65,13 +59,10 @@ fn main() {
             .with_adversary(AdversaryChoice::RandomJam)
             .with_trials(trials)
             .with_seed(seed)
-            .with_trace_output(trace.clone());
+            .with_trace_output(exp.trace());
         let p = spec.params();
-        let Some(result) = report
-            .run(&spec, || runner.run_fame_scenario(&spec))
-            .expect("scenario runs")
-        else {
-            continue; // another shard's scenario
+        let Some(result) = exp.run_fame(&spec) else {
+            continue;
         };
         let regime = if c >= 2 * t * t {
             "2t^2"
@@ -90,9 +81,7 @@ fn main() {
         table.row(cells);
     }
     println!("{table}");
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
-    trace.announce();
+    exp.finish();
     println!(
         "Reading: adding channels pays twice — cheaper feedback everywhere \
          (the (C−t)/C escape probability), and from C = 2t on, double-size \

@@ -6,7 +6,7 @@
 //! vectors to a polynomial set from which the vector signature selects the
 //! authentic one.
 //!
-//! Runs through [`ExperimentRunner`]: both variants are multi-trial
+//! Runs through [`Experiment`]: both variants are multi-trial
 //! scenarios on the same star workload (worst case for plain frame size),
 //! each trial under fresh spoofer/jammer coins, trials in parallel under
 //! the work-stealing scheduler; aggregates land in
@@ -20,26 +20,20 @@ use fame::messages::FameFrame;
 use radio_network::adversaries::{RandomJammer, Spoofer};
 use radio_network::seed;
 use secure_radio_bench::{
-    fame_run_for_trial, smoke_trials, AdversaryChoice, ExperimentRunner, ScenarioSpec, ShardMode,
-    ShardedReport, Table, TraceOutput, TrialError, TrialOutcome, Workload,
+    fame_run_for_trial, smoke_trials, Accepts, AdversaryChoice, Experiment, ScenarioSpec, Table,
+    TrialError, TrialOutcome, Workload,
 };
 
 fn main() {
-    let shard = ShardMode::from_args();
-    if shard.handle_merge("compact_audit") {
-        return;
-    }
     // The plain f-AME scenarios honor --trace-out; the compact-vector
     // variant drives its own chunked exchange internally and keeps
     // traces in memory (its specs say so).
-    let trace = TraceOutput::from_args();
+    let mut exp = Experiment::new("compact_audit", Accepts::TRACES);
     let base_seed = 0xC0;
     let t = 2;
     let trials = smoke_trials(6);
     println!("# Compact f-AME (Section 5.6): constant-size frames — {trials} trials/variant\n");
 
-    let runner = ExperimentRunner::new();
-    let mut report = ShardedReport::new("compact_audit", shard);
     let mut table = Table::new(
         "plain vs compact f-AME under gossip-phase spoof flood + jamming",
         &[
@@ -64,30 +58,26 @@ fn main() {
         .with_adversary(AdversaryChoice::RandomJam)
         .with_trials(trials)
         .with_seed(base_seed)
-        .with_trace_output(trace.clone());
+        .with_trace_output(exp.trace());
     let params = plain_spec.params();
     let instance = plain_spec.instance();
     let plain_max_values = instance.outbox_of(0).len();
     let delivered_plain = AtomicU64::new(0);
-    let plain = report
-        .run(&plain_spec, || {
-            runner.run(&plain_spec, |ctx| {
-                // Streaming-aware: honors the spec's --trace-out.
-                let run = fame_run_for_trial(&params, &instance, ctx)?;
-                delivered_plain.fetch_add(run.outcome.delivered_count() as u64, Ordering::Relaxed);
-                let forged = run.outcome.authentication_violations(&instance).len() as u64;
-                let cover = run.outcome.disruption_cover();
-                Ok(TrialOutcome {
-                    rounds: run.outcome.rounds,
-                    moves: run.moves as u64,
-                    cover: Some(cover),
-                    violations: forged,
-                    ok: forged == 0 && cover <= t,
-                    dropped_records: 0,
-                })
-            })
+    let plain = exp.run(&plain_spec, |ctx| {
+        // Streaming-aware: honors the spec's --trace-out.
+        let run = fame_run_for_trial(&params, &instance, ctx)?;
+        delivered_plain.fetch_add(run.outcome.delivered_count() as u64, Ordering::Relaxed);
+        let forged = run.outcome.authentication_violations(&instance).len() as u64;
+        let cover = run.outcome.disruption_cover();
+        Ok(TrialOutcome {
+            rounds: run.outcome.rounds,
+            moves: run.moves as u64,
+            cover: Some(cover),
+            violations: forged,
+            ok: forged == 0 && cover <= t,
+            dropped_records: 0,
         })
-        .expect("plain scenario runs");
+    });
     if let Some(plain) = plain {
         table.row([
             "plain f-AME".to_string(),
@@ -120,46 +110,41 @@ fn main() {
     let delivered_compact = AtomicU64::new(0);
     let max_frame_values = AtomicU64::new(0);
     let gossip_stats = AtomicU64::new(0); // packed: misses summed
-    let compact = report
-        .run(&compact_spec, || {
-            runner.run(&compact_spec, |ctx| {
-                let spoofer = Spoofer::new(seed::derive(ctx.seed, 1), |round, _ch| {
-                    let forged = format!("forged-{round}").into_bytes();
-                    let tag = reconstruction_hashes(std::slice::from_ref(&forged))[0];
-                    FameFrame::GossipChunk {
-                        owner: (round % 11) as usize,
-                        index: 0,
-                        payload: forged,
-                        reconstruction: tag,
-                    }
-                });
-                let run = run_compact_fame(
-                    &instance,
-                    &params,
-                    spoofer,
-                    RandomJammer::new(seed::derive(ctx.seed, 2)),
-                    ctx.seed,
-                )
-                .map_err(|e| TrialError {
-                    trial: ctx.trial,
-                    message: e.to_string(),
-                })?;
-                delivered_compact
-                    .fetch_add(run.outcome.delivered_count() as u64, Ordering::Relaxed);
-                max_frame_values.fetch_max(run.max_frame_values as u64, Ordering::Relaxed);
-                gossip_stats.fetch_add(run.gossip_misses as u64, Ordering::Relaxed);
-                let forged = run.outcome.authentication_violations(&instance).len() as u64;
-                let cover = run.outcome.disruption_cover();
-                Ok(TrialOutcome {
-                    rounds: run.outcome.rounds,
-                    cover: Some(cover),
-                    violations: forged,
-                    ok: forged == 0 && cover <= t,
-                    ..TrialOutcome::default()
-                })
-            })
+    let compact = exp.run(&compact_spec, |ctx| {
+        let spoofer = Spoofer::new(seed::derive(ctx.seed, 1), |round, _ch| {
+            let forged = format!("forged-{round}").into_bytes();
+            let tag = reconstruction_hashes(std::slice::from_ref(&forged))[0];
+            FameFrame::GossipChunk {
+                owner: (round % 11) as usize,
+                index: 0,
+                payload: forged,
+                reconstruction: tag,
+            }
+        });
+        let run = run_compact_fame(
+            &instance,
+            &params,
+            spoofer,
+            RandomJammer::new(seed::derive(ctx.seed, 2)),
+            ctx.seed,
+        )
+        .map_err(|e| TrialError {
+            trial: ctx.trial,
+            message: e.to_string(),
+        })?;
+        delivered_compact.fetch_add(run.outcome.delivered_count() as u64, Ordering::Relaxed);
+        max_frame_values.fetch_max(run.max_frame_values as u64, Ordering::Relaxed);
+        gossip_stats.fetch_add(run.gossip_misses as u64, Ordering::Relaxed);
+        let forged = run.outcome.authentication_violations(&instance).len() as u64;
+        let cover = run.outcome.disruption_cover();
+        Ok(TrialOutcome {
+            rounds: run.outcome.rounds,
+            cover: Some(cover),
+            violations: forged,
+            ok: forged == 0 && cover <= t,
+            ..TrialOutcome::default()
         })
-        .expect("compact scenario runs");
+    });
     let compact_max = max_frame_values.into_inner();
     if let Some(compact) = compact {
         table.row([
@@ -186,9 +171,7 @@ fn main() {
         "gossip misses across {trials} trials: {}",
         gossip_stats.into_inner()
     );
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
-    trace.announce();
+    exp.finish();
     println!(
         "\nReading: frames drop from {plain_max_values} AME values to \
          {compact_max} (payload + reconstruction hash) with no authenticity \

@@ -5,7 +5,7 @@
 //! * **E6 (Section 5 intro)** — the direct no-surrogate baseline is pinned
 //!   to a cover of exactly `2t` by the triangle-isolation attack.
 //!
-//! Runs through [`ExperimentRunner`]: one scenario per `(t, adversary)`
+//! Runs through [`Experiment`]: one scenario per `(t, adversary)`
 //! point, trials in parallel with deterministic per-trial seeds; the
 //! `cover<=t` column now aggregates over every trial, and all aggregates
 //! land in `BENCH_disruptability.json`.
@@ -23,39 +23,28 @@ use fame::protocol::round_budget;
 use fame::Params;
 use secure_radio_bench::workloads::complete_pairs;
 use secure_radio_bench::{
-    fame_trial_outcome, smoke, smoke_trials, AdversaryChoice, BenchReport, ChannelModelAxis,
-    ChannelModelChoice, ExperimentRunner, ScenarioSpec, ShardMode, ShardedReport, TraceOutput,
-    TrialError, TrialOutcome, Workload,
+    fame_trial_outcome, smoke, smoke_trials, Accepts, AdversaryChoice, BenchReport,
+    ChannelModelChoice, Experiment, ScenarioSpec, TrialError, TrialOutcome, Workload,
 };
 
 fn main() {
-    let axis = ChannelModelAxis::from_args();
     // `--channel-model` swaps the whole bin onto the channel-model grid
     // and report; the classic run stays byte-identical to before the axis.
-    let report_name = if axis.models().is_some() {
-        "channel_models"
-    } else {
-        "disruptability"
-    };
-    let shard = ShardMode::from_args();
-    if shard.handle_merge(report_name) {
-        return;
-    }
     // E4 trials run full f-AME and honor --trace-out; the bespoke E6
     // triangle-attack trials drive the direct baseline internally and
     // keep their traces in memory (their specs say so).
-    let trace = TraceOutput::from_args();
-    if let Some(models) = axis.models() {
-        channel_model_sweep(models, shard, trace);
+    let mut exp = Experiment::new(
+        "disruptability",
+        Accepts::TRACES.with_model_axis("channel_models"),
+    );
+    if let Some(models) = exp.models().map(<[_]>::to_vec) {
+        channel_model_sweep(exp, &models);
         return;
     }
     let seed = 77;
     let trials = smoke_trials(4);
     let ts: &[usize] = if smoke() { &[2] } else { &[2, 3] };
     println!("# Disruptability: f-AME's t bound vs the direct baseline's 2t\n");
-
-    let runner = ExperimentRunner::new();
-    let mut report = ShardedReport::new("disruptability", shard);
 
     // E4 — the full adversary roster against f-AME.
     let mut e4 = BenchReport::new("disruptability_e4");
@@ -67,12 +56,9 @@ fn main() {
                     .with_adversary(adversary)
                     .with_trials(trials)
                     .with_seed(seed)
-                    .with_trace_output(trace.clone());
-            let Some(result) = report
-                .run(&spec, || runner.run_fame_scenario(&spec))
-                .expect("fame scenario runs")
-            else {
-                continue; // another shard's scenario
+                    .with_trace_output(exp.trace());
+            let Some(result) = exp.run_fame(&spec) else {
+                continue;
             };
             assert_eq!(
                 result.aggregate.cover_within_t,
@@ -97,33 +83,30 @@ fn main() {
             .with_adversary(AdversaryChoice::None) // the triangle attack is bespoke
             .with_trials(trials)
             .with_seed(seed);
-        let Some(result) = report
-            .run(&spec, || {
-                runner.run(&spec, |ctx| {
-                    let instance = AmeInstance::new(n, complete_pairs(n)).expect("instance");
-                    let schedule = build_direct_schedule(instance.pairs(), t + 1, 3);
-                    let adversary = TriangleAdversary::new(t, schedule);
-                    let outcome = run_direct_exchange(&instance, t, 3, adversary, ctx.seed)
-                        .map_err(|e| TrialError {
-                            trial: ctx.trial,
-                            message: e.to_string(),
-                        })?;
-                    let cover = outcome.disruption_cover();
-                    Ok(TrialOutcome {
-                        rounds: outcome.rounds,
-                        moves: 0,
-                        cover: Some(cover),
-                        violations: 0,
-                        // For the baseline, "ok" records the paper's claim:
-                        // the triangle attack forces the cover all the way to 2t.
-                        ok: cover == 2 * t,
-                        dropped_records: 0,
-                    })
-                })
+        let Some(result) = exp.run(&spec, |ctx| {
+            let instance = AmeInstance::new(n, complete_pairs(n)).expect("instance");
+            let schedule = build_direct_schedule(instance.pairs(), t + 1, 3);
+            let adversary = TriangleAdversary::new(t, schedule);
+            let outcome =
+                run_direct_exchange(&instance, t, 3, adversary, ctx.seed).map_err(|e| {
+                    TrialError {
+                        trial: ctx.trial,
+                        message: e.to_string(),
+                    }
+                })?;
+            let cover = outcome.disruption_cover();
+            Ok(TrialOutcome {
+                rounds: outcome.rounds,
+                moves: 0,
+                cover: Some(cover),
+                violations: 0,
+                // For the baseline, "ok" records the paper's claim:
+                // the triangle attack forces the cover all the way to 2t.
+                ok: cover == 2 * t,
+                dropped_records: 0,
             })
-            .expect("direct scenario runs")
-        else {
-            continue; // another shard's scenario
+        }) else {
+            continue;
         };
         assert_eq!(
             result.aggregate.ok_count, trials,
@@ -138,9 +121,7 @@ fn main() {
         )
     );
 
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
-    trace.announce();
+    exp.finish();
     println!(
         "Paper claims reproduced: f-AME stays within a vertex cover of t \
          under every attacker (Theorem 6, optimal by Theorem 2), while \
@@ -157,15 +138,13 @@ fn main() {
 /// dropped delivery can strand a node forever) is counted as a failed,
 /// budget-length trial instead of aborting the sweep: the stall *is* the
 /// datum.
-fn channel_model_sweep(models: &[ChannelModelChoice], shard: ShardMode, trace: TraceOutput) {
+fn channel_model_sweep(mut exp: Experiment, models: &[ChannelModelChoice]) {
     let seed = 77;
     let trials = smoke_trials(4);
     let t = 2;
     let n = Params::min_nodes(t, t + 1);
     println!("# Channel models: f-AME disruption and rounds across the adversary roster\n");
 
-    let runner = ExperimentRunner::new();
-    let mut report = ShardedReport::new("channel_models", shard);
     let mut table = BenchReport::new("channel_models");
     for &choice in models {
         let model = choice.spec_for(n);
@@ -176,28 +155,23 @@ fn channel_model_sweep(models: &[ChannelModelChoice], shard: ShardMode, trace: T
                 .with_trials(trials)
                 .with_seed(seed)
                 .with_channel_model(model.clone())
-                .with_trace_output(trace.clone());
+                .with_trace_output(exp.trace());
             let params = spec.params();
             let instance = spec.instance();
             let budget = round_budget(&params, instance.pairs().len());
-            let Some(result) = report
-                .run(&spec, || {
-                    runner.run(&spec, |ctx| {
-                        match fame_trial_outcome(&params, &instance, ctx) {
-                            Ok(outcome) => Ok(outcome),
-                            Err(e) if e.message.contains("-round limit with") => Ok(TrialOutcome {
-                                rounds: budget,
-                                cover: None,
-                                ok: false,
-                                ..TrialOutcome::default()
-                            }),
-                            Err(e) => Err(e),
-                        }
-                    })
-                })
-                .expect("channel-model scenario runs")
-            else {
-                continue; // another shard's scenario
+            let Some(result) = exp.run(&spec, |ctx| {
+                match fame_trial_outcome(&params, &instance, ctx) {
+                    Ok(outcome) => Ok(outcome),
+                    Err(e) if e.message.contains("-round limit with") => Ok(TrialOutcome {
+                        rounds: budget,
+                        cover: None,
+                        ok: false,
+                        ..TrialOutcome::default()
+                    }),
+                    Err(e) => Err(e),
+                }
+            }) else {
+                continue;
             };
             table.push(spec, result.aggregate);
         }
@@ -206,9 +180,7 @@ fn channel_model_sweep(models: &[ChannelModelChoice], shard: ShardMode, trace: T
         "{}",
         table.table("channel models x adversary roster at t=2 (ok = cover<=t, no violations)")
     );
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
-    trace.announce();
+    exp.finish();
     println!(
         "Reading: the ideal rows reproduce Theorem 6's cover<=t exactly; \
          lossy and geometric rows show where dropped or unheard deliveries \

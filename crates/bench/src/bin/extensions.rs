@@ -10,7 +10,7 @@
 //! * **E15 (concurrent point-to-point channels, §8 open question 4)** —
 //!   per-pair hopping keys let up to `C` pairs share one broadcast slot.
 //!
-//! Runs through [`ExperimentRunner`]: every point is a multi-trial
+//! Runs through [`Experiment`]: every point is a multi-trial
 //! scenario under fresh per-trial coins, trials execute in parallel under
 //! the work-stealing scheduler, and all aggregates land in
 //! `BENCH_extensions.json`.
@@ -26,36 +26,21 @@ use radio_network::adversaries::{NoAdversary, RandomJammer};
 use radio_network::seed;
 use secure_radio_bench::workloads::disjoint_pairs;
 use secure_radio_bench::{
-    smoke, smoke_trials, AdversaryChoice, ExperimentRunner, ScenarioSpec, ShardMode, ShardedReport,
-    Table, TrialError, TrialOutcome, Workload,
+    smoke, smoke_trials, Accepts, AdversaryChoice, Experiment, ScenarioSpec, Table, TrialError,
+    TrialOutcome, Workload,
 };
 
 fn main() {
-    let shard = ShardMode::from_args();
-    if shard.handle_merge("extensions") {
-        return;
-    }
-    // Parse the shared trace contract so typos and unsupported use fail
-    // loudly: every Section 8 trial (residual re-runs, Byzantine variant,
-    // pairwise slots) drives bespoke multi-phase runners that do not
-    // stream traces yet — refuse rather than silently not stream.
-    if secure_radio_bench::TraceOutput::from_args().is_stream() {
-        eprintln!(
-            "error: --trace-out is not supported by extensions: its Section 8 \
-             trials run bespoke multi-phase runners that do not stream traces \
-             yet; drop the flag (the other experiment bins support it)"
-        );
-        std::process::exit(1);
-    }
+    // Every Section 8 trial (residual re-runs, Byzantine variant, pairwise
+    // slots) drives bespoke multi-phase runners that do not stream traces
+    // yet, so `--trace-out` is refused rather than silently not streaming.
+    let mut exp = Experiment::new("extensions", Accepts::SHARDS);
     let base_seed = 0xE57;
     let trials = smoke_trials(4);
     println!(
         "# Section 8 extensions: residual delivery, Byzantine-robust variant, \
          pairwise channels — {trials} trials/point\n"
     );
-
-    let runner = ExperimentRunner::new();
-    let mut report = ShardedReport::new("extensions", shard);
 
     // ---- E12: residual upgrade ---------------------------------------------
     let mut table = Table::new(
@@ -92,52 +77,38 @@ fn main() {
             let plain_delivered = AtomicU64::new(0);
             let merged_delivered = AtomicU64::new(0);
             let extra_rounds = AtomicU64::new(0);
-            let Some(result) = report
-                .run(&spec, || {
-                    runner.run(&spec, |ctx| {
-                        let jam = matches!(spec.adversary, AdversaryChoice::RandomJam);
-                        let (merged, plain) = if jam {
-                            run_fame_with_residual(
-                                &instance,
-                                &p,
-                                RandomJammer::new(seed::derive(ctx.seed, 1)),
-                                RandomJammer::new(seed::derive(ctx.seed, 2)),
-                                2,
-                                ctx.seed,
-                            )
-                        } else {
-                            run_fame_with_residual(
-                                &instance,
-                                &p,
-                                NoAdversary,
-                                NoAdversary,
-                                2,
-                                ctx.seed,
-                            )
-                        }
-                        .map_err(|e| TrialError {
-                            trial: ctx.trial,
-                            message: e.to_string(),
-                        })?;
-                        plain_delivered
-                            .fetch_add(plain.outcome.delivered_count() as u64, Ordering::Relaxed);
-                        merged_delivered
-                            .fetch_add(merged.delivered_count() as u64, Ordering::Relaxed);
-                        extra_rounds
-                            .fetch_add(merged.rounds - plain.outcome.rounds, Ordering::Relaxed);
-                        let aware = merged.awareness_violations().is_empty();
-                        Ok(TrialOutcome {
-                            rounds: merged.rounds,
-                            moves: plain.moves as u64,
-                            violations: merged.awareness_violations().len() as u64,
-                            ok: aware,
-                            ..TrialOutcome::default()
-                        })
-                    })
+            let Some(result) = exp.run(&spec, |ctx| {
+                let jam = matches!(spec.adversary, AdversaryChoice::RandomJam);
+                let (merged, plain) = if jam {
+                    run_fame_with_residual(
+                        &instance,
+                        &p,
+                        RandomJammer::new(seed::derive(ctx.seed, 1)),
+                        RandomJammer::new(seed::derive(ctx.seed, 2)),
+                        2,
+                        ctx.seed,
+                    )
+                } else {
+                    run_fame_with_residual(&instance, &p, NoAdversary, NoAdversary, 2, ctx.seed)
+                }
+                .map_err(|e| TrialError {
+                    trial: ctx.trial,
+                    message: e.to_string(),
+                })?;
+                plain_delivered
+                    .fetch_add(plain.outcome.delivered_count() as u64, Ordering::Relaxed);
+                merged_delivered.fetch_add(merged.delivered_count() as u64, Ordering::Relaxed);
+                extra_rounds.fetch_add(merged.rounds - plain.outcome.rounds, Ordering::Relaxed);
+                let aware = merged.awareness_violations().is_empty();
+                Ok(TrialOutcome {
+                    rounds: merged.rounds,
+                    moves: plain.moves as u64,
+                    violations: merged.awareness_violations().len() as u64,
+                    ok: aware,
+                    ..TrialOutcome::default()
                 })
-                .expect("residual scenario runs")
-            else {
-                continue; // another shard's scenario
+            }) else {
+                continue;
             };
             table.row([
                 spec.adversary.label().to_string(),
@@ -185,40 +156,35 @@ fn main() {
         let p13 = spec.params();
         let delivered = AtomicU64::new(0);
         let cover_max = AtomicU64::new(0);
-        let Some(result) = report
-            .run(&spec, || {
-                runner.run(&spec, |ctx| {
-                    let (outcome, moves) = run_byzantine_fame(
-                        &instance,
-                        &p13,
-                        RandomJammer::new(seed::derive(ctx.seed, 1)),
-                        ctx.seed,
-                    )
-                    .map_err(|e| TrialError {
-                        trial: ctx.trial,
-                        message: e.to_string(),
-                    })?;
-                    delivered.fetch_add(outcome.delivered_count() as u64, Ordering::Relaxed);
-                    let cover = outcome.disruption_cover();
-                    cover_max.fetch_max(cover as u64, Ordering::Relaxed);
-                    let forged = outcome.authentication_violations(&instance).len() as u64;
-                    Ok(TrialOutcome {
-                        rounds: outcome.rounds,
-                        moves: moves as u64,
-                        // The aggregate's cover_within_t judges against t, but
-                        // this variant's bound is 2t — keep the cover out of
-                        // the generic aggregate (a legitimate cover in (t, 2t]
-                        // would read as a violation) and judge it in `ok`.
-                        cover: None,
-                        violations: forged,
-                        ok: cover <= 2 * t && forged == 0,
-                        dropped_records: 0,
-                    })
-                })
+        let Some(result) = exp.run(&spec, |ctx| {
+            let (outcome, moves) = run_byzantine_fame(
+                &instance,
+                &p13,
+                RandomJammer::new(seed::derive(ctx.seed, 1)),
+                ctx.seed,
+            )
+            .map_err(|e| TrialError {
+                trial: ctx.trial,
+                message: e.to_string(),
+            })?;
+            delivered.fetch_add(outcome.delivered_count() as u64, Ordering::Relaxed);
+            let cover = outcome.disruption_cover();
+            cover_max.fetch_max(cover as u64, Ordering::Relaxed);
+            let forged = outcome.authentication_violations(&instance).len() as u64;
+            Ok(TrialOutcome {
+                rounds: outcome.rounds,
+                moves: moves as u64,
+                // The aggregate's cover_within_t judges against t, but
+                // this variant's bound is 2t — keep the cover out of
+                // the generic aggregate (a legitimate cover in (t, 2t]
+                // would read as a violation) and judge it in `ok`.
+                cover: None,
+                violations: forged,
+                ok: cover <= 2 * t && forged == 0,
+                dropped_records: 0,
             })
-            .expect("byzantine scenario runs")
-        else {
-            continue; // another shard's scenario
+        }) else {
+            continue;
         };
         assert_eq!(
             result.aggregate.ok_count, trials,
@@ -260,33 +226,28 @@ fn main() {
             })
             .collect();
         let delivered = AtomicU64::new(0);
-        let Some(result) = report
-            .run(&spec, || {
-                runner.run(&spec, |ctx| {
-                    let r = run_pairwise_slot(
-                        &p,
-                        &group,
-                        &sessions,
-                        RandomJammer::new(seed::derive(ctx.seed, 1)),
-                        ctx.seed,
-                    )
-                    .map_err(|e| TrialError {
-                        trial: ctx.trial,
-                        message: e.to_string(),
-                    })?;
-                    let got = r.delivered.iter().filter(|d| d.is_some()).count() as u64;
-                    delivered.fetch_add(got, Ordering::Relaxed);
-                    Ok(TrialOutcome {
-                        rounds: r.rounds,
-                        violations: pairs as u64 - got,
-                        ok: got == pairs as u64,
-                        ..TrialOutcome::default()
-                    })
-                })
+        let Some(result) = exp.run(&spec, |ctx| {
+            let r = run_pairwise_slot(
+                &p,
+                &group,
+                &sessions,
+                RandomJammer::new(seed::derive(ctx.seed, 1)),
+                ctx.seed,
+            )
+            .map_err(|e| TrialError {
+                trial: ctx.trial,
+                message: e.to_string(),
+            })?;
+            let got = r.delivered.iter().filter(|d| d.is_some()).count() as u64;
+            delivered.fetch_add(got, Ordering::Relaxed);
+            Ok(TrialOutcome {
+                rounds: r.rounds,
+                violations: pairs as u64 - got,
+                ok: got == pairs as u64,
+                ..TrialOutcome::default()
             })
-            .expect("pairwise scenario runs")
-        else {
-            continue; // another shard's scenario
+        }) else {
+            continue;
         };
         let got = delivered.into_inner();
         table.row([
@@ -298,8 +259,7 @@ fn main() {
     }
     println!("{table}");
 
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
+    exp.finish();
     println!(
         "Reading: residual sweeps recover every leftover pair when the \
          adversary is absent or oblivious (no worst-case guarantee exists — \

@@ -11,7 +11,7 @@
 //! * **f-AME** — physical rounds of a full run against a schedule-aware
 //!   jammer (theory: `O(|E| t² log n)`, `O(|E| log n)`, `O(|E| log² n/t)`).
 //!
-//! Runs through [`ExperimentRunner`]: every `(regime, t, |E|)` point is a
+//! Runs through [`Experiment`]: every `(regime, t, |E|)` point is a
 //! multi-trial [`ScenarioSpec`] (the E1 game draws a fresh random instance
 //! per trial; E2/E3 vary the protocol/adversary coins), trials execute in
 //! parallel under the work-stealing scheduler, and all aggregates land in
@@ -29,8 +29,8 @@ use removal_game::greedy::play;
 use removal_game::referee::AdversarialReferee;
 use secure_radio_bench::workloads::random_pairs;
 use secure_radio_bench::{
-    ratio, smoke, smoke_trials, AdversaryChoice, ExperimentRunner, Regime, ScenarioSpec, ShardMode,
-    ShardedReport, Table, TraceOutput, TrialError, TrialOutcome, Workload,
+    ratio, smoke, smoke_trials, Accepts, AdversaryChoice, Experiment, Regime, ScenarioSpec, Table,
+    TrialError, TrialOutcome, Workload,
 };
 
 /// Moves of the standalone game under the adversarial referee.
@@ -43,13 +43,9 @@ fn greedy_moves(n: usize, pairs: &[(usize, usize)], t: usize, cap: usize) -> usi
 }
 
 fn main() {
-    let shard = ShardMode::from_args();
-    if shard.handle_merge("fig3_table") {
-        return;
-    }
     // E2 (feedback) and E3 (f-AME) trials drive the radio network and
     // honor --trace-out; E1 is the standalone game — no rounds, no trace.
-    let trace = TraceOutput::from_args();
+    let mut exp = Experiment::new("fig3_table", Accepts::TRACES);
     let seed = 20080818; // PODC'08 started August 18.
     let trials = smoke_trials(6);
     let regimes: &[Regime] = if smoke() {
@@ -61,9 +57,6 @@ fn main() {
     let e1_edges: &[usize] = if smoke() { &[40] } else { &[40, 80, 160] };
     let e3_edges: &[usize] = if smoke() { &[20] } else { &[20, 40, 80] };
     println!("# Figure 3 — f-AME complexity across channel regimes ({trials} trials/point)\n");
-
-    let runner = ExperimentRunner::new();
-    let mut report = ShardedReport::new("fig3_table", shard);
 
     // ---- Column 1: greedy-removal (E1) -------------------------------------
     let mut t1 = Table::new(
@@ -93,23 +86,18 @@ fn main() {
                 .with_adversary(AdversaryChoice::None)
                 .with_trials(trials)
                 .with_seed(seed ^ (edges as u64) << 8);
-                let Some(result) = report
-                    .run(&spec, || {
-                        runner.run(&spec, |ctx| {
-                            // Fresh random instance per trial: the aggregate
-                            // sweeps the instance distribution, not one draw.
-                            let pairs = random_pairs(p.n(), edges, ctx.seed);
-                            let moves = greedy_moves(p.n(), &pairs, t, p.proposal_cap());
-                            Ok(TrialOutcome {
-                                moves: moves as u64,
-                                ok: true,
-                                ..TrialOutcome::default()
-                            })
-                        })
+                let Some(result) = exp.run(&spec, |ctx| {
+                    // Fresh random instance per trial: the aggregate
+                    // sweeps the instance distribution, not one draw.
+                    let pairs = random_pairs(p.n(), edges, ctx.seed);
+                    let moves = greedy_moves(p.n(), &pairs, t, p.proposal_cap());
+                    Ok(TrialOutcome {
+                        moves: moves as u64,
+                        ok: true,
+                        ..TrialOutcome::default()
                     })
-                    .expect("greedy scenario runs")
-                else {
-                    continue; // another shard's scenario
+                }) else {
+                    continue;
                 };
                 // Theory: each move concedes >= max(1, cap - t) items.
                 let per_move = (p.proposal_cap() - t).max(1);
@@ -169,48 +157,39 @@ fn main() {
                         .with_adversary(AdversaryChoice::RandomJam)
                         .with_trials(trials)
                         .with_seed(seed ^ 0xE2)
-                        .with_trace_output(trace.clone());
-                let result = report
-                    .run(&spec, || {
-                        runner.run(&spec, |ctx| {
-                            let sink = ctx
-                                .spec
-                                .trial_sink(ctx.trial, TraceRetention::All)
-                                .map_err(|e| TrialError {
-                                    trial: ctx.trial,
-                                    message: format!("trace sink: {e}"),
-                                })?;
-                            let witness_sets = default_witness_sets(&p, flags.len());
-                            let jammer = RandomJammer::new(seed::derive(ctx.seed, 1));
-                            let ds = match sink {
-                                Some(sink) => run_feedback_streaming(
-                                    &p,
-                                    witness_sets,
-                                    &flags,
-                                    jammer,
-                                    ctx.seed,
-                                    sink,
-                                ),
-                                None => run_feedback(&p, witness_sets, &flags, jammer, ctx.seed),
-                            }
-                            .map_err(|e| TrialError {
-                                trial: ctx.trial,
-                                message: e.to_string(),
-                            })?;
-                            let expected: std::collections::BTreeSet<usize> = flags
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, &b)| b)
-                                .map(|(i, _)| i)
-                                .collect();
-                            Ok(TrialOutcome {
-                                rounds,
-                                ok: ds.iter().all(|d| d == &expected),
-                                ..TrialOutcome::default()
-                            })
-                        })
+                        .with_trace_output(exp.trace());
+                let result = exp.run(&spec, |ctx| {
+                    let sink = ctx
+                        .spec
+                        .trial_sink(ctx.trial, TraceRetention::All)
+                        .map_err(|e| TrialError {
+                            trial: ctx.trial,
+                            message: format!("trace sink: {e}"),
+                        })?;
+                    let witness_sets = default_witness_sets(&p, flags.len());
+                    let jammer = RandomJammer::new(seed::derive(ctx.seed, 1));
+                    let ds = match sink {
+                        Some(sink) => {
+                            run_feedback_streaming(&p, witness_sets, &flags, jammer, ctx.seed, sink)
+                        }
+                        None => run_feedback(&p, witness_sets, &flags, jammer, ctx.seed),
+                    }
+                    .map_err(|e| TrialError {
+                        trial: ctx.trial,
+                        message: e.to_string(),
+                    })?;
+                    let expected: std::collections::BTreeSet<usize> = flags
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &b)| b)
+                        .map(|(i, _)| i)
+                        .collect();
+                    Ok(TrialOutcome {
+                        rounds,
+                        ok: ds.iter().all(|d| d == &expected),
+                        ..TrialOutcome::default()
                     })
-                    .expect("feedback scenario runs");
+                });
                 match result {
                     Some(result) if result.aggregate.ok_count == trials => "yes".to_string(),
                     Some(result) => format!("NO ({}/{trials})", result.aggregate.ok_count),
@@ -265,12 +244,9 @@ fn main() {
             .with_adversary(AdversaryChoice::OmniPreferEdges)
             .with_trials(trials)
             .with_seed(seed + e as u64)
-            .with_trace_output(trace.clone());
-            let Some(result) = report
-                .run(&spec, || runner.run_fame_scenario(&spec))
-                .expect("fame scenario runs")
-            else {
-                continue; // another shard's scenario
+            .with_trace_output(exp.trace());
+            let Some(result) = exp.run_fame(&spec) else {
+                continue;
             };
             assert_eq!(
                 result.aggregate.cover_within_t, result.aggregate.cover_measured,
@@ -302,9 +278,7 @@ fn main() {
     }
     println!("{t3}");
 
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
-    trace.announce();
+    exp.finish();
     println!(
         "Interpretation: within each regime the p50/theory column is \
          ~constant across the |E| sweep, reproducing the scaling shape of \

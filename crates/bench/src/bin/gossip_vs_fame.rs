@@ -11,7 +11,7 @@
 //! flooding is cheap); what it cannot do is tell real rumors from forged
 //! ones — the `forged accepted` column — or bound which nodes fail.
 //!
-//! Runs through [`ExperimentRunner`]: both protocols are multi-trial
+//! Runs through [`Experiment`]: both protocols are multi-trial
 //! scenarios with parallel, deterministically seeded trials; aggregates
 //! land in `BENCH_gossip_vs_fame.json`.
 
@@ -19,24 +19,19 @@ use fame::Params;
 use radio_network::adversaries::Spoofer;
 use radio_network::{seed, ChannelId};
 use secure_radio_bench::{
-    smoke, smoke_trials, AdversaryChoice, ExperimentRunner, ScenarioSpec, ShardMode, ShardedReport,
-    Table, TraceOutput, TrialError, TrialOutcome, Workload,
+    smoke, smoke_trials, Accepts, AdversaryChoice, Experiment, ScenarioSpec, Table, TrialError,
+    TrialOutcome, Workload,
 };
 
 fn main() {
-    let shard = ShardMode::from_args();
-    if shard.handle_merge("gossip_vs_fame") {
-        return;
-    }
     // The f-AME scenarios honor --trace-out; the gossip baseline runs its
     // own unauthenticated flood internally and keeps traces in memory.
-    let trace = TraceOutput::from_args();
+    let mut exp = Experiment::new("gossip_vs_fame", Accepts::TRACES);
     let base_seed = 0x60551;
     let trials = smoke_trials(6);
     let ts: &[usize] = if smoke() { &[1] } else { &[1, 2] };
     println!("# Gossip vs f-AME (E9): the price and value of authentication\n");
 
-    let runner = ExperimentRunner::new();
     let mut table = Table::new(
         format!("all-to-all exchange, spoofing + jamming adversaries ({trials} trials)"),
         &[
@@ -51,7 +46,6 @@ fn main() {
             "sender awareness",
         ],
     );
-    let mut report = ShardedReport::new("gossip_vs_fame", shard);
 
     for &t in ts {
         let n = Params::min_nodes(t, t + 1).max(18);
@@ -62,34 +56,29 @@ fn main() {
             .with_adversary(AdversaryChoice::Spoof) // label only; frames forged below
             .with_trials(trials)
             .with_seed(base_seed);
-        let gossip = report
-            .run(&gossip_spec, || {
-                runner.run(&gossip_spec, |ctx| {
-                    let spoofer =
-                        Spoofer::new(seed::derive(ctx.seed, 1), |round, ch: ChannelId| {
-                            fame::baselines::gossip::RumorFrame {
-                                origin: (round as usize + ch.index()) % 7,
-                                payload: format!("forged-{round}").into_bytes(),
-                            }
-                        });
-                    let run = fame::baselines::gossip::run_gossip(n, t, spoofer, 400_000, ctx.seed)
-                        .map_err(|e| TrialError {
-                            trial: ctx.trial,
-                            message: e.to_string(),
-                        })?;
-                    Ok(TrialOutcome {
-                        rounds: run.rounds,
-                        moves: 0,
-                        cover: None,
-                        violations: run.forged_slots as u64,
-                        // "ok" = the flood completed; the forgery gap shows up
-                        // in `violations`.
-                        ok: run.completed,
-                        dropped_records: 0,
-                    })
-                })
+        let gossip = exp.run(&gossip_spec, |ctx| {
+            let spoofer = Spoofer::new(seed::derive(ctx.seed, 1), |round, ch: ChannelId| {
+                fame::baselines::gossip::RumorFrame {
+                    origin: (round as usize + ch.index()) % 7,
+                    payload: format!("forged-{round}").into_bytes(),
+                }
+            });
+            let run = fame::baselines::gossip::run_gossip(n, t, spoofer, 400_000, ctx.seed)
+                .map_err(|e| TrialError {
+                    trial: ctx.trial,
+                    message: e.to_string(),
+                })?;
+            Ok(TrialOutcome {
+                rounds: run.rounds,
+                moves: 0,
+                cover: None,
+                violations: run.forged_slots as u64,
+                // "ok" = the flood completed; the forgery gap shows up
+                // in `violations`.
+                ok: run.completed,
+                dropped_records: 0,
             })
-            .expect("gossip scenario runs");
+        });
         if let Some(gossip) = gossip {
             table.row([
                 "oblivious-gossip".to_string(),
@@ -110,11 +99,8 @@ fn main() {
             .with_adversary(AdversaryChoice::RandomJam)
             .with_trials(trials)
             .with_seed(base_seed)
-            .with_trace_output(trace.clone());
-        let fame_result = report
-            .run(&fame_spec, || runner.run_fame_scenario(&fame_spec))
-            .expect("fame scenario runs");
-        if let Some(fame_result) = fame_result {
+            .with_trace_output(exp.trace());
+        if let Some(fame_result) = exp.run_fame(&fame_spec) {
             table.row([
                 "f-AME".to_string(),
                 t.to_string(),
@@ -133,9 +119,7 @@ fn main() {
     }
 
     println!("{table}");
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
-    trace.announce();
+    exp.finish();
     println!(
         "Reading: gossip floods fast but accepts forged rumors and cannot \
          certify who failed; f-AME pays a polylog factor in rounds and in \

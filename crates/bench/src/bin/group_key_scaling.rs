@@ -6,7 +6,7 @@
 //! * Part 2 costs `Θ(n·t²·log n)`, Part 3 `Θ(t³·log n)`;
 //! * all but at most `t` nodes adopt the same group key.
 //!
-//! Runs through [`ExperimentRunner`]: every `(n, t)` point is a
+//! Runs through [`Experiment`]: every `(n, t)` point is a
 //! multi-trial scenario (fresh protocol and jammer coins per trial — the
 //! seed tree derives one stream per phase), trials execute in parallel
 //! under the work-stealing scheduler, and aggregates land in
@@ -20,8 +20,8 @@ use fame::group_key::{establish_group_key, GroupKeyRounds};
 use radio_network::adversaries::RandomJammer;
 use radio_network::seed;
 use secure_radio_bench::{
-    ratio, smoke, smoke_trials, AdversaryChoice, ExperimentRunner, ScenarioSpec, ShardMode,
-    ShardedReport, Table, TraceOutput, TrialError, TrialOutcome, Workload,
+    ratio, smoke, smoke_trials, Accepts, AdversaryChoice, Experiment, ScenarioSpec, Table,
+    TrialError, TrialOutcome, Workload,
 };
 
 const BASE_SEED: u64 = 0x6B07;
@@ -29,14 +29,7 @@ const BASE_SEED: u64 = 0x6B07;
 /// One scenario: [`smoke_trials`]`(4)` independent group-key
 /// establishments at `(n, t)`, with per-part round counts collected for
 /// the table.
-fn run_point(
-    runner: &ExperimentRunner,
-    report: &mut ShardedReport,
-    table: &mut Table,
-    sweep: &str,
-    n: usize,
-    t: usize,
-) {
+fn run_point(exp: &mut Experiment, table: &mut Table, sweep: &str, n: usize, t: usize) {
     let trials = smoke_trials(4);
     let spec = ScenarioSpec::new(format!("E7 {sweep} n={n} t={t}"), n, t, t + 1)
         .with_workload(Workload::None)
@@ -45,39 +38,34 @@ fn run_point(
         .with_seed(BASE_SEED);
     let params = spec.params();
     let parts: Mutex<Vec<(usize, GroupKeyRounds, usize, bool)>> = Mutex::new(Vec::new());
-    let Some(result) = report
-        .run(&spec, || {
-            runner.run(&spec, |ctx| {
-                let gk = establish_group_key(
-                    &params,
-                    RandomJammer::new(seed::derive(ctx.seed, 1)),
-                    RandomJammer::new(seed::derive(ctx.seed, 2)),
-                    RandomJammer::new(seed::derive(ctx.seed, 3)),
-                    ctx.seed,
-                    false,
-                )
-                .map_err(|e| TrialError {
-                    trial: ctx.trial,
-                    message: e.to_string(),
-                })?;
-                let holders = gk.holders();
-                let agree = gk.agreement();
-                parts
-                    .lock()
-                    .expect("no poisoned trial")
-                    .push((ctx.trial, gk.rounds, holders, agree));
-                Ok(TrialOutcome {
-                    rounds: gk.rounds.total(),
-                    moves: gk.fame_moves as u64,
-                    violations: u64::from(!agree),
-                    ok: agree && holders + t >= n,
-                    ..TrialOutcome::default()
-                })
-            })
+    let Some(result) = exp.run(&spec, |ctx| {
+        let gk = establish_group_key(
+            &params,
+            RandomJammer::new(seed::derive(ctx.seed, 1)),
+            RandomJammer::new(seed::derive(ctx.seed, 2)),
+            RandomJammer::new(seed::derive(ctx.seed, 3)),
+            ctx.seed,
+            false,
+        )
+        .map_err(|e| TrialError {
+            trial: ctx.trial,
+            message: e.to_string(),
+        })?;
+        let holders = gk.holders();
+        let agree = gk.agreement();
+        parts
+            .lock()
+            .expect("no poisoned trial")
+            .push((ctx.trial, gk.rounds, holders, agree));
+        Ok(TrialOutcome {
+            rounds: gk.rounds.total(),
+            moves: gk.fame_moves as u64,
+            violations: u64::from(!agree),
+            ok: agree && holders + t >= n,
+            ..TrialOutcome::default()
         })
-        .expect("group key scenario runs")
-    else {
-        return; // another shard's scenario
+    }) else {
+        return;
     };
     let mut parts = parts.into_inner().expect("no poisoned trial");
     parts.sort_unstable_by_key(|&(trial, ..)| trial);
@@ -106,29 +94,16 @@ fn run_point(
 }
 
 fn main() {
-    let shard = ShardMode::from_args();
-    if shard.handle_merge("group_key_scaling") {
-        return;
-    }
-    // Parse the shared trace contract so typos and unsupported use fail
-    // loudly: group-key trials chain three internal simulations whose
-    // round numbering restarts per part, which the per-trial trace-file
-    // format cannot express yet — refuse rather than silently not stream.
-    if TraceOutput::from_args().is_stream() {
-        eprintln!(
-            "error: --trace-out is not supported by group_key_scaling: group-key \
-             trials run three chained simulations per trial and do not stream \
-             traces yet; drop the flag (the other experiment bins support it)"
-        );
-        std::process::exit(1);
-    }
+    // Group-key trials chain three internal simulations whose round
+    // numbering restarts per part, which the per-trial trace-file format
+    // cannot express yet, so `--trace-out` is refused rather than
+    // silently not streaming.
+    let mut exp = Experiment::new("group_key_scaling", Accepts::SHARDS);
     println!(
         "# Group key establishment (Section 6) — {} trials/point\n",
         smoke_trials(4)
     );
 
-    let runner = ExperimentRunner::new();
-    let mut report = ShardedReport::new("group_key_scaling", shard);
     let mut table = Table::new(
         "rounds vs n and t (jamming adversary on every part; parts are means)",
         &[
@@ -148,18 +123,17 @@ fn main() {
 
     let ns: &[usize] = if smoke() { &[36] } else { &[36, 48, 64, 88] };
     for &n in ns {
-        run_point(&runner, &mut report, &mut table, "vs-n", n, 2);
+        run_point(&mut exp, &mut table, "vs-n", n, 2);
     }
     if !smoke() {
         for &t in &[1usize, 2, 3] {
             let n = fame::Params::min_nodes(t, t + 1).max(64);
-            run_point(&runner, &mut report, &mut table, "vs-t", n, t);
+            run_point(&mut exp, &mut table, "vs-t", n, t);
         }
     }
 
     println!("{table}");
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
+    exp.finish();
     println!(
         "Shape checks: p50/theory stays ~constant across the n sweep \
          (Θ(n·t³·log n)); part1 dominates; holders >= n - t with full \

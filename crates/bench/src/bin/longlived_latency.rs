@@ -4,7 +4,7 @@
 //! rounds (`O(log n)` once `C ≥ 2t`), with w.h.p. delivery, secrecy, and
 //! authentication.
 //!
-//! Runs through [`ExperimentRunner`]: every `(regime, t, adversary)` point
+//! Runs through [`Experiment`]: every `(regime, t, adversary)` point
 //! is a multi-trial [`Workload::Broadcasts`] scenario — each trial replays
 //! the scripted broadcasts under fresh protocol/jammer coins — trials
 //! execute in parallel under the work-stealing scheduler, and aggregates
@@ -25,8 +25,8 @@ use radio_crypto::key::SymmetricKey;
 use radio_network::adversaries::{BusyChannelJammer, NoAdversary, RandomJammer};
 use radio_network::{seed, Adversary, TraceRetention};
 use secure_radio_bench::{
-    ratio, smoke, smoke_trials, AdversaryChoice, ExperimentRunner, Regime, ScenarioSpec, ShardMode,
-    ShardedReport, Table, TraceOutput, TrialError, TrialOutcome, Workload,
+    ratio, smoke, smoke_trials, Accepts, AdversaryChoice, Experiment, Regime, ScenarioSpec, Table,
+    TrialError, TrialOutcome, Workload,
 };
 
 fn script(broadcasts: u64, n: usize) -> Vec<ScriptEntry> {
@@ -55,11 +55,7 @@ fn sealed_adversary(choice: &AdversaryChoice, seed: u64) -> Box<dyn Adversary<Se
 
 fn main() {
     let base_seed = 0x1096u64;
-    let shard = ShardMode::from_args();
-    if shard.handle_merge("longlived_latency") {
-        return;
-    }
-    let trace = TraceOutput::from_args();
+    let mut exp = Experiment::new("longlived_latency", Accepts::TRACES);
     let trials = smoke_trials(4);
     let broadcasts: u64 = if smoke() { 5 } else { 20 };
     let regimes: &[Regime] = if smoke() {
@@ -73,8 +69,6 @@ fn main() {
          {trials} trials/point\n"
     );
 
-    let runner = ExperimentRunner::new();
-    let mut report = ShardedReport::new("longlived_latency", shard);
     let mut table = Table::new(
         "emulated-round cost and delivery rate",
         &[
@@ -113,66 +107,62 @@ fn main() {
                 .with_adversary(adversary)
                 .with_trials(trials)
                 .with_seed(base_seed ^ (t as u64) << 8)
-                .with_trace_output(trace.clone());
+                .with_trace_output(exp.trace());
                 let entries = script(broadcasts, n);
                 let key = SymmetricKey::from_bytes([7u8; 32]);
                 let keys: Vec<Option<SymmetricKey>> = (0..n).map(|_| Some(key)).collect();
                 let (hits, slots) = (AtomicU64::new(0), AtomicU64::new(0));
-                let result = report.run(&spec, || {
-                    runner.run(&spec, |ctx| {
-                        let adv = sealed_adversary(&spec.adversary, seed::derive(ctx.seed, 1));
-                        // Streamed traces keep the window run_longlived
-                        // uses, so trace-mining jammers replay identically.
-                        let sink = ctx
-                            .spec
-                            .trial_sink(
-                                ctx.trial,
-                                TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW),
-                            )
-                            .map_err(|e| TrialError {
-                                trial: ctx.trial,
-                                message: format!("trace sink: {e}"),
-                            })?;
-                        let r = match sink {
-                            Some(sink) => {
-                                run_longlived_streaming(&p, &keys, &entries, adv, ctx.seed, sink)
-                            }
-                            None => run_longlived(&p, &keys, &entries, adv, ctx.seed, false),
-                        }
+                let result = exp.run(&spec, |ctx| {
+                    let adv = sealed_adversary(&spec.adversary, seed::derive(ctx.seed, 1));
+                    // Streamed traces keep the window run_longlived
+                    // uses, so trace-mining jammers replay identically.
+                    let sink = ctx
+                        .spec
+                        .trial_sink(
+                            ctx.trial,
+                            TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW),
+                        )
                         .map_err(|e| TrialError {
                             trial: ctx.trial,
-                            message: e.to_string(),
+                            message: format!("trace sink: {e}"),
                         })?;
-                        let mut missed = 0u64;
-                        let mut total = 0u64;
-                        for entry in &entries {
-                            for (node, received) in r.received.iter().enumerate() {
-                                if node == entry.sender {
-                                    continue;
-                                }
-                                total += 1;
-                                let got = received.get(&entry.eround);
-                                if got
-                                    .is_none_or(|(s, m)| *s != entry.sender || *m != entry.message)
-                                {
-                                    missed += 1;
-                                }
+                    let r = match sink {
+                        Some(sink) => {
+                            run_longlived_streaming(&p, &keys, &entries, adv, ctx.seed, sink)
+                        }
+                        None => run_longlived(&p, &keys, &entries, adv, ctx.seed, false),
+                    }
+                    .map_err(|e| TrialError {
+                        trial: ctx.trial,
+                        message: e.to_string(),
+                    })?;
+                    let mut missed = 0u64;
+                    let mut total = 0u64;
+                    for entry in &entries {
+                        for (node, received) in r.received.iter().enumerate() {
+                            if node == entry.sender {
+                                continue;
+                            }
+                            total += 1;
+                            let got = received.get(&entry.eround);
+                            if got.is_none_or(|(s, m)| *s != entry.sender || *m != entry.message) {
+                                missed += 1;
                             }
                         }
-                        hits.fetch_add(total - missed, Ordering::Relaxed);
-                        slots.fetch_add(total, Ordering::Relaxed);
-                        Ok(TrialOutcome {
-                            rounds: r.rounds,
-                            violations: missed,
-                            ok: missed == 0,
-                            dropped_records: r.stats.dropped_records,
-                            ..TrialOutcome::default()
-                        })
+                    }
+                    hits.fetch_add(total - missed, Ordering::Relaxed);
+                    slots.fetch_add(total, Ordering::Relaxed);
+                    Ok(TrialOutcome {
+                        rounds: r.rounds,
+                        violations: missed,
+                        ok: missed == 0,
+                        dropped_records: r.stats.dropped_records,
+                        ..TrialOutcome::default()
                     })
                 });
-                let Some(_result) = result.expect("longlived scenario runs") else {
-                    continue; // another shard's scenario
-                };
+                if result.is_none() {
+                    continue;
+                }
                 let rate = hits.into_inner() as f64 / slots.into_inner().max(1) as f64;
                 table.row([
                     regime.label().to_string(),
@@ -191,9 +181,7 @@ fn main() {
         }
     }
     println!("{table}");
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
-    trace.announce();
+    exp.finish();
     println!(
         "Shape checks: emulated-round cost tracks t·ln n (minimal) and \
          ln n (C >= 2t); delivery stays at 100% w.h.p. because the hopping \

@@ -8,7 +8,7 @@
 //! removes the ambiguity: its spoof-acceptance count is structurally zero
 //! in the very same adversarial model.
 //!
-//! Runs through [`ExperimentRunner`]: both protocols are multi-trial
+//! Runs through [`Experiment`]: both protocols are multi-trial
 //! scenarios (each naive trial is one independent exchange under fresh
 //! coins; each f-AME trial faces the spoofing schedule-aware jammer),
 //! trials execute in parallel under the work-stealing scheduler, and
@@ -19,24 +19,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use fame::baselines::naive::run_naive_exchange;
 use fame::Params;
 use secure_radio_bench::{
-    fame_run_for_trial, smoke, smoke_trials, AdversaryChoice, ExperimentRunner, ScenarioSpec,
-    ShardMode, ShardedReport, Table, TraceOutput, TrialError, TrialOutcome, Workload,
+    fame_run_for_trial, smoke, smoke_trials, Accepts, AdversaryChoice, Experiment, ScenarioSpec,
+    Table, TrialError, TrialOutcome, Workload,
 };
 
 fn main() {
-    let shard = ShardMode::from_args();
-    if shard.handle_merge("thm2_impossibility") {
-        return;
-    }
     // The f-AME scenarios honor --trace-out; the naive baseline runs its
     // own randomized exchange internally and keeps traces in memory.
-    let trace = TraceOutput::from_args();
+    let mut exp = Experiment::new("thm2_impossibility", Accepts::TRACES);
     let seed = 0xBAD_C0DE;
     let ts: &[usize] = if smoke() { &[1] } else { &[1, 2, 3] };
     println!("# Theorem 2 — authentication is impossible without structure\n");
 
-    let runner = ExperimentRunner::new();
-    let mut report = ShardedReport::new("thm2_impossibility", shard);
     let mut table = Table::new(
         "naive randomized exchange vs f-AME under spoofing adversaries",
         &[
@@ -61,29 +55,24 @@ fn main() {
             .with_trials(trials)
             .with_seed(seed ^ t as u64);
         let (real, fake, undecided) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
-        let Some(_result) = report
-            .run(&spec, || {
-                runner.run(&spec, |ctx| {
-                    let r =
-                        run_naive_exchange(4 * t, t, rounds, ctx.seed).map_err(|e| TrialError {
-                            trial: ctx.trial,
-                            message: e.to_string(),
-                        })?;
-                    real.fetch_add(r.accepted_real as u64, Ordering::Relaxed);
-                    fake.fetch_add(r.accepted_fake as u64, Ordering::Relaxed);
-                    undecided.fetch_add(r.undecided as u64, Ordering::Relaxed);
-                    Ok(TrialOutcome {
-                        rounds,
-                        violations: r.accepted_fake as u64,
-                        ok: r.accepted_fake == 0,
-                        ..TrialOutcome::default()
-                    })
-                })
+        let result = exp.run(&spec, |ctx| {
+            let r = run_naive_exchange(4 * t, t, rounds, ctx.seed).map_err(|e| TrialError {
+                trial: ctx.trial,
+                message: e.to_string(),
+            })?;
+            real.fetch_add(r.accepted_real as u64, Ordering::Relaxed);
+            fake.fetch_add(r.accepted_fake as u64, Ordering::Relaxed);
+            undecided.fetch_add(r.undecided as u64, Ordering::Relaxed);
+            Ok(TrialOutcome {
+                rounds,
+                violations: r.accepted_fake as u64,
+                ok: r.accepted_fake == 0,
+                ..TrialOutcome::default()
             })
-            .expect("naive scenario runs")
-        else {
-            continue; // another shard's scenario
-        };
+        });
+        if result.is_none() {
+            continue;
+        }
         let (real, fake, undecided) =
             (real.into_inner(), fake.into_inner(), undecided.into_inner());
         let decided = real + fake;
@@ -107,32 +96,27 @@ fn main() {
             .with_adversary(AdversaryChoice::OmniSpoof)
             .with_trials(trials)
             .with_seed(seed ^ (t as u64) << 4)
-            .with_trace_output(trace.clone());
+            .with_trace_output(exp.trace());
         let params = spec.params();
         let instance = spec.instance();
         let delivered_total = AtomicU64::new(0);
-        let Some(result) = report
-            .run(&spec, || {
-                runner.run(&spec, |ctx| {
-                    // Streaming-aware: honors the spec's --trace-out.
-                    let run = fame_run_for_trial(&params, &instance, ctx)?;
-                    let delivered = run.outcome.delivered_count() as u64;
-                    delivered_total.fetch_add(delivered, Ordering::Relaxed);
-                    let forged = run.outcome.authentication_violations(&instance).len() as u64;
-                    let cover = run.outcome.disruption_cover();
-                    Ok(TrialOutcome {
-                        rounds: run.outcome.rounds,
-                        moves: run.moves as u64,
-                        cover: Some(cover),
-                        violations: forged,
-                        ok: forged == 0 && cover <= t,
-                        dropped_records: 0,
-                    })
-                })
+        let Some(result) = exp.run(&spec, |ctx| {
+            // Streaming-aware: honors the spec's --trace-out.
+            let run = fame_run_for_trial(&params, &instance, ctx)?;
+            let delivered = run.outcome.delivered_count() as u64;
+            delivered_total.fetch_add(delivered, Ordering::Relaxed);
+            let forged = run.outcome.authentication_violations(&instance).len() as u64;
+            let cover = run.outcome.disruption_cover();
+            Ok(TrialOutcome {
+                rounds: run.outcome.rounds,
+                moves: run.moves as u64,
+                cover: Some(cover),
+                violations: forged,
+                ok: forged == 0 && cover <= t,
+                dropped_records: 0,
             })
-            .expect("fame scenario runs")
-        else {
-            continue; // another shard's scenario
+        }) else {
+            continue;
         };
         let delivered = delivered_total.into_inner();
         let forged = result.aggregate.violations;
@@ -148,9 +132,7 @@ fn main() {
     }
 
     println!("{table}");
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
-    trace.announce();
+    exp.finish();
     println!(
         "Paper claim: the naive receiver accepts the forgery with \
          probability 1/2 (Theorem 2's indistinguishability argument); \

@@ -7,7 +7,7 @@
 //! set — under random jamming. Failures collapse exponentially once the
 //! constant clears the Chernoff threshold, justifying the default of 4.
 //!
-//! Runs through [`ExperimentRunner`]: each scale is a scenario whose 40
+//! Runs through [`Experiment`]: each scale is a scenario whose 40
 //! trials execute in parallel with deterministic per-trial seeds; the `ok`
 //! column counts agreeing trials and lands in `BENCH_whp_knee.json`.
 //!
@@ -28,34 +28,26 @@ use radio_network::adversaries::RandomJammer;
 use radio_network::seed;
 use radio_network::{ChannelModelSpec, TraceRetention};
 use secure_radio_bench::{
-    smoke, smoke_trials, AdversaryChoice, ChannelModelAxis, ExperimentRunner, ScenarioSpec,
-    ShardMode, ShardedReport, Table, TraceOutput, TrialError, TrialOutcome, Workload,
+    smoke, smoke_trials, Accepts, AdversaryChoice, Experiment, ScenarioSpec, Table, TrialError,
+    TrialOutcome, Workload,
 };
 
 fn main() {
-    let axis = ChannelModelAxis::from_args();
     // `--channel-model` swaps the sweep onto its own grid and report; the
     // classic run stays byte-identical to before the axis existed.
-    let report_name = if axis.models().is_some() {
-        "channel_models_knee"
-    } else {
-        "whp_knee"
-    };
-    let shard = ShardMode::from_args();
-    if shard.handle_merge(report_name) {
-        return;
-    }
-    let trace = TraceOutput::from_args();
+    let mut exp = Experiment::new(
+        "whp_knee",
+        Accepts::TRACES.with_model_axis("channel_models_knee"),
+    );
     println!("# Lemma 5 w.h.p. knee: feedback_scale sweep (E11)\n");
 
     let trials = smoke_trials(40);
     let (n, t) = (40, 2);
-    let models: Vec<ChannelModelSpec> = match axis.models() {
+    let models: Vec<ChannelModelSpec> = match exp.models() {
         Some(choices) => choices.iter().map(|c| c.spec_for(n)).collect(),
         None => vec![ChannelModelSpec::Ideal],
     };
-    let axis_active = axis.models().is_some();
-    let runner = ExperimentRunner::new();
+    let axis_active = exp.models().is_some();
     let mut headers = vec![
         "scale",
         "reps/channel",
@@ -70,7 +62,6 @@ fn main() {
         format!("agreement failure rate vs feedback_scale (t={t}, n={n}, {trials} trials)"),
         &headers,
     );
-    let mut report = ShardedReport::new(report_name, shard);
 
     let scales: &[f64] = if smoke() {
         &[0.1, 4.0]
@@ -90,7 +81,7 @@ fn main() {
                 .with_trials(trials)
                 .with_seed(0x5CA1E)
                 .with_channel_model(model.clone())
-                .with_trace_output(trace.clone());
+                .with_trace_output(exp.trace());
             let p = Params::minimal(n, t)
                 .expect("params")
                 .with_feedback_scale(scale)
@@ -99,45 +90,35 @@ fn main() {
             let flags = [true, false, true];
             let expected: BTreeSet<usize> = [0usize, 2].into_iter().collect();
 
-            let Some(result) = report
-                .run(&spec, || {
-                    runner.run(&spec, |ctx| {
-                        // Standalone feedback runs keep the full in-memory
-                        // trace; a streamed trial retains the same history so
-                        // it stays bit-identical to an unstreamed one.
-                        let sink = ctx
-                            .spec
-                            .trial_sink(ctx.trial, TraceRetention::All)
-                            .map_err(|e| TrialError {
-                                trial: ctx.trial,
-                                message: format!("trace sink: {e}"),
-                            })?;
-                        let witness_sets = default_witness_sets(&p, flags.len());
-                        let jammer = RandomJammer::new(seed::derive(ctx.seed, 1));
-                        let ds = match sink {
-                            Some(sink) => run_feedback_streaming(
-                                &p,
-                                witness_sets,
-                                &flags,
-                                jammer,
-                                ctx.seed,
-                                sink,
-                            ),
-                            None => run_feedback(&p, witness_sets, &flags, jammer, ctx.seed),
-                        }
-                        .map_err(|e| TrialError {
-                            trial: ctx.trial,
-                            message: e.to_string(),
-                        })?;
-                        Ok(TrialOutcome {
-                            ok: ds.iter().all(|d| d == &expected),
-                            ..TrialOutcome::default()
-                        })
-                    })
+            let Some(result) = exp.run(&spec, |ctx| {
+                // Standalone feedback runs keep the full in-memory
+                // trace; a streamed trial retains the same history so
+                // it stays bit-identical to an unstreamed one.
+                let sink = ctx
+                    .spec
+                    .trial_sink(ctx.trial, TraceRetention::All)
+                    .map_err(|e| TrialError {
+                        trial: ctx.trial,
+                        message: format!("trace sink: {e}"),
+                    })?;
+                let witness_sets = default_witness_sets(&p, flags.len());
+                let jammer = RandomJammer::new(seed::derive(ctx.seed, 1));
+                let ds = match sink {
+                    Some(sink) => {
+                        run_feedback_streaming(&p, witness_sets, &flags, jammer, ctx.seed, sink)
+                    }
+                    None => run_feedback(&p, witness_sets, &flags, jammer, ctx.seed),
+                }
+                .map_err(|e| TrialError {
+                    trial: ctx.trial,
+                    message: e.to_string(),
+                })?;
+                Ok(TrialOutcome {
+                    ok: ds.iter().all(|d| d == &expected),
+                    ..TrialOutcome::default()
                 })
-                .expect("feedback scenario runs")
-            else {
-                continue; // another shard's scenario
+            }) else {
+                continue;
             };
 
             let failures = trials - result.aggregate.ok_count;
@@ -155,9 +136,7 @@ fn main() {
         }
     }
     println!("{table}");
-    let path = report.write_default().expect("write BENCH json");
-    println!("wrote {}", path.display());
-    trace.announce();
+    exp.finish();
     println!(
         "Reading: below the knee, listeners miss <true, r> reports and \
          nodes disagree on D; at the default scale the failure rate is 0 \

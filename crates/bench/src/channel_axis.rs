@@ -1,5 +1,6 @@
-//! The shared `--channel-model` CLI axis of the `disruptability` and
-//! `whp_knee` bins.
+//! The `--channel-model` axis of the `disruptability` and `whp_knee`
+//! bins (parsed with the rest of the CLI by
+//! [`Experiment::new`](crate::Experiment::new)).
 //!
 //! ```text
 //! disruptability --channel-model all       # 4 models x adversary roster
@@ -80,82 +81,9 @@ impl ChannelModelChoice {
     }
 }
 
-/// The parse of `--channel-model <ideal|lossy|capture|geometric|all>`
-/// (also `--channel-model=...`; comma lists compose, `all` expands to
-/// every model). Absent flag means the classic, pre-axis grid.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct ChannelModelAxis {
-    models: Option<Vec<ChannelModelChoice>>,
-}
-
-impl ChannelModelAxis {
-    /// Parse the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics on CLI misuse (unknown model name, missing value, repeated
-    /// flag), reported at startup.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match ChannelModelAxis::parse_args(&args) {
-            Ok(axis) => axis,
-            Err(message) => panic!("{message}"),
-        }
-    }
-
-    /// The argument-list core of [`ChannelModelAxis::from_args`], split
-    /// out so the contract is unit-testable.
-    ///
-    /// # Errors
-    ///
-    /// A usage message on CLI misuse.
-    pub fn parse_args(args: &[String]) -> Result<Self, String> {
-        let mut models: Option<Vec<ChannelModelChoice>> = None;
-        let mut iter = args.iter().peekable();
-        while let Some(arg) = iter.next() {
-            let value = if arg == "--channel-model" {
-                match iter.peek() {
-                    Some(value) if !value.starts_with("--") => {
-                        let value = (*value).clone();
-                        iter.next();
-                        value
-                    }
-                    _ => {
-                        return Err(
-                            "--channel-model needs a value: ideal, lossy, capture, geometric, \
-                             all, or a comma list"
-                                .into(),
-                        )
-                    }
-                }
-            } else if let Some(value) = arg.strip_prefix("--channel-model=") {
-                value.to_string()
-            } else if arg.starts_with("--channel-model") {
-                // A typo like `--channel-models` must not silently run the
-                // classic grid (and overwrite the classic report).
-                return Err(format!(
-                    "unrecognized option \"{arg}\"; use --channel-model <model> \
-                     (or --channel-model=<model>)"
-                ));
-            } else {
-                continue;
-            };
-            if models.is_some() {
-                return Err("--channel-model given twice; pass one comma list instead".into());
-            }
-            models = Some(parse_model_list(&value)?);
-        }
-        Ok(ChannelModelAxis { models })
-    }
-
-    /// The selected models, in request order — `None` when the flag was
-    /// absent and the bin should run its classic grid.
-    pub fn models(&self) -> Option<&[ChannelModelChoice]> {
-        self.models.as_deref()
-    }
-}
-
-fn parse_model_list(value: &str) -> Result<Vec<ChannelModelChoice>, String> {
+/// Parse a `--channel-model` value: `all`, or a comma list of distinct
+/// model names.
+pub(crate) fn parse_model_list(value: &str) -> Result<Vec<ChannelModelChoice>, String> {
     if value == "all" {
         return Ok(ChannelModelChoice::ALL.to_vec());
     }
@@ -181,48 +109,6 @@ fn parse_model_list(value: &str) -> Result<Vec<ChannelModelChoice>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn absent_flag_means_classic_grid() {
-        let axis = ChannelModelAxis::parse_args(&args(&["--shard", "1/2"])).unwrap();
-        assert_eq!(axis.models(), None);
-    }
-
-    #[test]
-    fn axis_contract_parses() {
-        let axis = ChannelModelAxis::parse_args(&args(&["--channel-model", "all"])).unwrap();
-        assert_eq!(axis.models(), Some(&ChannelModelChoice::ALL[..]));
-        let axis = ChannelModelAxis::parse_args(&args(&["--channel-model=lossy"])).unwrap();
-        assert_eq!(axis.models(), Some(&[ChannelModelChoice::Lossy][..]));
-        let axis =
-            ChannelModelAxis::parse_args(&args(&["--channel-model", "capture,geometric"])).unwrap();
-        assert_eq!(
-            axis.models(),
-            Some(&[ChannelModelChoice::Capture, ChannelModelChoice::Geometric][..])
-        );
-    }
-
-    #[test]
-    fn axis_contract_rejects_misuse() {
-        for bad in [
-            vec!["--channel-model"],
-            vec!["--channel-model", "--shard"],
-            vec!["--channel-model", "fading"],
-            vec!["--channel-model", "lossy,lossy"],
-            vec!["--channel-model", "lossy", "--channel-model", "capture"],
-            vec!["--channel-models", "all"],
-            vec!["--channel-model="],
-        ] {
-            assert!(
-                ChannelModelAxis::parse_args(&args(&bad)).is_err(),
-                "accepted {bad:?}"
-            );
-        }
-    }
 
     #[test]
     fn specs_match_the_committed_corpus_parameters() {

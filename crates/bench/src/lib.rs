@@ -18,19 +18,24 @@
 //! | `extensions` | E12, E13, E15 | Section 8 open questions (1), (3), (4) |
 //! | `channel_sweep` | E14 | Section 5.5, between the table rows |
 //!
-//! Every binary runs its sweep through [`ExperimentRunner`] — multi-trial
-//! scenarios with work-stealing parallel, deterministically seeded trials
-//! — and writes its aggregates to `BENCH_<name>.json` (schema:
-//! `docs/BENCH_FORMAT.md`). Set `BENCH_SMOKE=1` (see [`smoke`]) to shrink
-//! every sweep to a CI-sized grid.
+//! Every binary runs its sweep through one [`Experiment`]: it parses the
+//! shared CLI contract once (`--shard k/N`, `--merge <dir>`,
+//! `--trace-out <dir>`, `--trace-lossy`, `--channel-model <list>`; any
+//! other argument is a startup error), fans each scenario's trials across
+//! the work-stealing [`ExperimentRunner`], and writes the aggregates to
+//! `BENCH_<name>.json` (schema: `docs/BENCH_FORMAT.md`). Set
+//! `BENCH_SMOKE=1` (see [`smoke`]) to shrink every sweep to a CI-sized
+//! grid.
 //!
-//! Module map: [`scenario`] describes *what* to run ([`ScenarioSpec`],
-//! [`Workload`], [`AdversaryChoice`], and [`TraceOutput`] — per-trial
-//! trace streaming to line-delimited JSON files, schema in
-//! `docs/TRACE_FORMAT.md`); [`runner`] is *how* trials execute and fold
-//! ([`ExperimentRunner`], [`Aggregate`], [`BenchReport`]); [`shard`]
-//! splits a bin's scenario grid across processes/machines (`--shard k/N`)
-//! and merges the shard files back byte-identically (`--merge <dir>`);
+//! Module map: [`experiment`] is the bins' driver ([`Experiment`] and its
+//! CLI parse); [`scenario`] describes *what* to run
+//! ([`ScenarioSpec`], [`Workload`], [`AdversaryChoice`], and
+//! [`TraceOutput`] — per-trial trace streaming to line-delimited JSON
+//! files, schema in `docs/TRACE_FORMAT.md`); [`runner`] is *how* trials
+//! execute and fold ([`ExperimentRunner`], [`Aggregate`],
+//! [`BenchReport`]); [`shard`] splits a bin's scenario grid across
+//! processes/machines and merges the shard files back byte-identically;
+//! [`channel_axis`] fixes the `--channel-model` axis's four models;
 //! [`json`] is the hand-rolled no-serde JSON reader behind the merge;
 //! [`workloads`] generates pair lists; [`table`] renders aligned text
 //! tables.
@@ -40,6 +45,7 @@
 //! `benches/` additionally track wall-clock time of the simulator itself.
 
 pub mod channel_axis;
+pub mod experiment;
 pub mod json;
 pub mod runner;
 pub mod scenario;
@@ -47,13 +53,14 @@ pub mod shard;
 pub mod table;
 pub mod workloads;
 
-pub use channel_axis::{ChannelModelAxis, ChannelModelChoice};
+pub use channel_axis::ChannelModelChoice;
+pub use experiment::{Accepts, Experiment};
 pub use runner::{
     fame_run_for_trial, fame_trial_outcome, Aggregate, BenchReport, ExperimentRunner, TrialCtx,
     TrialError, TrialOutcome,
 };
 pub use scenario::{channel_model_from_json, AdversaryChoice, ScenarioSpec, TraceOutput, Workload};
-pub use shard::{merge_shards, Shard, ShardMode, ShardedReport};
+pub use shard::{merge_shards, Shard, ShardedReport};
 pub use table::Table;
 
 use fame::Params;
@@ -154,6 +161,7 @@ mod tests {
             let p = regime.params(2, 0);
             assert_eq!(p.t(), 2);
             assert_eq!(p.c(), regime.channels(2));
+            assert!(p.n() >= Params::min_nodes(2, regime.channels(2)));
         }
     }
 

@@ -11,8 +11,9 @@
 //! chunking routinely parked every other thread behind one slow chunk;
 //! with stealing, a worker that finishes a cheap trial immediately claims
 //! the next unclaimed index, keeping all cores busy until the scenario
-//! drains. `benches/scheduler.rs` measures the delta on a deliberately
-//! skewed workload and records it in `BENCH_scheduler.json`.
+//! drains. `benches/scheduler.rs` measures stealing against the
+//! sequential runner on a deliberately skewed workload and records it in
+//! `BENCH_scheduler.json`.
 //!
 //! ## Determinism contract
 //!
@@ -32,11 +33,10 @@
 //!
 //! Multi-trial sweeps should not retain full execution traces (a long
 //! group-key setup can retain gigabytes). The fame-layer helpers inherit
-//! `run_fame`'s bounded `TraceRetention::LastRounds(64)`; custom trial
-//! closures that drive the engine directly should pick their policy with
-//! [`default_retention`] — `TraceRetention::None` (the allocation-free
-//! fast path) for multi-trial scenarios, keep-everything for one-shot
-//! runs where the trace is the product.
+//! `run_fame`'s bounded `TraceRetention::LastRounds(64)`, and a streamed
+//! trial's sink keeps the same window ([`fame_run_for_trial`]); custom
+//! trial closures that drive the engine directly pass their own layer's
+//! window to [`ScenarioSpec::trial_sink`].
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -306,11 +306,6 @@ impl ExperimentRunner {
         }
     }
 
-    /// The number of worker threads this runner fans out to.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Run every trial of `spec` through `trial`, work-stealing across the
     /// runner's threads, collecting outcomes by trial index.
     ///
@@ -384,7 +379,7 @@ impl ExperimentRunner {
     }
 
     /// [`ExperimentRunner::run`] with the standard f-AME trial
-    /// ([`fame_trial`]).
+    /// ([`fame_trial_outcome`]).
     ///
     /// # Errors
     ///
@@ -397,20 +392,6 @@ impl ExperimentRunner {
     }
 }
 
-/// The standard f-AME trial as a free function (for callers composing
-/// their own sweeps): run the scenario's instance against its adversary
-/// and report rounds, moves, disruption cover, and property violations.
-///
-/// Rebuilds the instance per call; [`ExperimentRunner::run_fame_scenario`]
-/// shares one instance across trials instead.
-///
-/// # Errors
-///
-/// [`TrialError`] on engine/validation failure.
-pub fn fame_trial(ctx: &TrialCtx<'_>) -> Result<TrialOutcome, TrialError> {
-    fame_trial_outcome(&ctx.spec.params(), &ctx.spec.instance(), ctx)
-}
-
 /// Run f-AME for one trial with the scenario's adversary, honoring the
 /// spec's [`TraceOutput`](crate::TraceOutput): when the scenario streams,
 /// the trial goes through `run_fame_streaming` with a per-trial
@@ -419,9 +400,9 @@ pub fn fame_trial(ctx: &TrialCtx<'_>) -> Result<TrialOutcome, TrialError> {
 /// bit-identically either way.
 ///
 /// This is the single streaming-aware f-AME entry the standard
-/// [`fame_trial`] *and* the bins' bespoke trial closures share — a bin
-/// that measures something custom still honors `--trace-out` by running
-/// its instance through here.
+/// [`fame_trial_outcome`] *and* the bins' bespoke trial closures share —
+/// a bin that measures something custom still honors `--trace-out` by
+/// running its instance through here.
 ///
 /// # Errors
 ///
@@ -454,8 +435,8 @@ pub fn fame_run_for_trial(
 /// [`TrialOutcome`] (rounds, moves, disruption cover, property
 /// violations, `ok = cover <= t && violations == 0`). Public so bins
 /// composing their own sweeps (e.g. the `--channel-model` axis, which
-/// must tolerate round-budget overruns) reuse the exact accounting the
-/// standard [`fame_trial`] applies.
+/// must tolerate round-budget overruns) reuse the exact accounting
+/// [`ExperimentRunner::run_fame_scenario`] applies.
 ///
 /// # Errors
 ///
@@ -477,17 +458,6 @@ pub fn fame_trial_outcome(
         ok: cover <= ctx.spec.t && violations == 0,
         dropped_records: run.stats.dropped_records,
     })
-}
-
-/// The trace-retention policy trial helpers should use: keep nothing for
-/// multi-trial sweeps (statistics stay exact), keep everything for
-/// one-shot runs where the trace *is* the product.
-pub fn default_retention(trials: usize) -> TraceRetention {
-    if trials > 1 {
-        TraceRetention::None
-    } else {
-        TraceRetention::All
-    }
 }
 
 /// A named collection of `(scenario, aggregate)` rows with a table and a
@@ -618,16 +588,6 @@ impl BenchReport {
         let path = dir.as_ref().join(format!("BENCH_{}.json", self.name));
         write_atomic(&path, &self.json())?;
         Ok(path)
-    }
-
-    /// Write `BENCH_<name>.json` in the current directory (the repo root
-    /// when invoked via `cargo run`), returning the path.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from file creation/write.
-    pub fn write_default(&self) -> std::io::Result<PathBuf> {
-        self.write(".")
     }
 }
 
@@ -891,12 +851,6 @@ mod tests {
             json.contains("\"channel_model\":\"capture-t128\""),
             "{json}"
         );
-    }
-
-    #[test]
-    fn retention_default_bounded_for_sweeps() {
-        assert_eq!(default_retention(1), TraceRetention::All);
-        assert_eq!(default_retention(2), TraceRetention::None);
     }
 
     #[test]

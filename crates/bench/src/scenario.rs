@@ -17,7 +17,6 @@ use radio_network::{
 
 use crate::json::{field, kind, str_field, u64_field, usize_field, Json};
 use crate::workloads::{complete_pairs, disjoint_pairs, random_pairs, ring_pairs, star_pairs};
-use crate::Regime;
 
 /// The message-exchange workload a scenario runs over.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -341,103 +340,6 @@ impl TraceOutput {
         matches!(self, TraceOutput::Stream { .. })
     }
 
-    /// Parse the experiment bins' shared CLI contract from the process
-    /// arguments: `--trace-out <dir>` (or `--trace-out=<dir>`) selects
-    /// [`TraceOutput::Stream`] (default policy: lossless
-    /// [`OverflowPolicy::Block`]), and `--trace-lossy` switches to
-    /// [`OverflowPolicy::DropNewest`] (dropped records are counted in
-    /// `BENCH_*.json`). Without `--trace-out`, traces stay in memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics on CLI misuse, reported at startup: `--trace-out` without a
-    /// directory, and `--trace-lossy` without `--trace-out` — the latter
-    /// used to be silently ignored, leaving the user believing they had
-    /// opted into lossy streaming while nothing streamed at all.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match TraceOutput::parse_args(&args) {
-            Ok(trace) => trace,
-            Err(message) => panic!("{message}"),
-        }
-    }
-
-    /// The argument-list core of [`TraceOutput::from_args`], split out so
-    /// the contract is unit-testable.
-    ///
-    /// # Errors
-    ///
-    /// A usage message on CLI misuse: a missing `--trace-out` value, a
-    /// value that looks like another flag (use the `--trace-out=<dir>`
-    /// form for directory names that genuinely start with `--`), or an
-    /// orphan `--trace-lossy` with nothing to stream.
-    pub fn parse_args(args: &[String]) -> Result<Self, String> {
-        let mut dir: Option<String> = None;
-        let mut lossy = false;
-        let mut iter = args.iter().peekable();
-        while let Some(arg) = iter.next() {
-            if arg == "--trace-lossy" {
-                lossy = true;
-            } else if arg == "--trace-out" {
-                match iter.peek() {
-                    Some(value) if !value.starts_with("--") => {
-                        dir = Some((*value).clone());
-                        iter.next();
-                    }
-                    Some(value) => {
-                        return Err(format!(
-                            "--trace-out {value}: the value looks like another flag; \
-                             use --trace-out={value} if that really is the directory"
-                        ))
-                    }
-                    None => return Err("--trace-out needs a directory".into()),
-                }
-            } else if let Some(value) = arg.strip_prefix("--trace-out=") {
-                if value.is_empty() {
-                    return Err("--trace-out= needs a non-empty directory".into());
-                }
-                dir = Some(value.to_string());
-            } else if arg.starts_with("--trace") {
-                // A typo like `--trace-outdir` or `--tracelossy` must not
-                // silently run without streaming.
-                return Err(format!(
-                    "unrecognized option \"{arg}\"; use --trace-out <dir> \
-                     (or --trace-out=<dir>) and --trace-lossy"
-                ));
-            }
-        }
-        match (dir, lossy) {
-            (Some(dir), lossy) => Ok(TraceOutput::Stream {
-                dir: PathBuf::from(dir),
-                policy: if lossy {
-                    OverflowPolicy::DropNewest
-                } else {
-                    OverflowPolicy::Block
-                },
-            }),
-            (None, true) => Err(
-                "--trace-lossy without --trace-out has no effect: nothing streams, \
-                 so nothing can be lossy; pass --trace-out <dir> or drop the flag"
-                    .into(),
-            ),
-            (None, false) => Ok(TraceOutput::Memory),
-        }
-    }
-
-    /// The experiment bins' shared end-of-run footer: under
-    /// [`TraceOutput::Stream`], print where the per-trial traces went
-    /// (and the schema pointer); silent for in-memory runs. Every bin
-    /// that accepts `--trace-out` calls this once after writing its
-    /// `BENCH_*.json`.
-    pub fn announce(&self) {
-        if let TraceOutput::Stream { dir, .. } = self {
-            println!(
-                "streamed per-trial traces to {} (schema: docs/TRACE_FORMAT.md)",
-                dir.display()
-            );
-        }
-    }
-
     /// This output as a tagged JSON object (part of the shard-file spec
     /// encoding). Inverted by [`TraceOutput::from_json`]; non-UTF-8
     /// stream directories are encoded lossily.
@@ -524,8 +426,8 @@ impl ScenarioSpec {
     /// reports emit. The fame-layer helpers go through
     /// [`ScenarioSpec::params`], which *rejects* an `n` below the
     /// protocol's minimum admissible node count rather than silently
-    /// inflating it (size the spec via [`ScenarioSpec::in_regime`] or
-    /// [`Params::min_nodes`]); custom trial closures that bypass `params`
+    /// inflating it (size the spec via [`Regime::params`](crate::Regime::params)
+    /// or [`Params::min_nodes`]); custom trial closures that bypass `params`
     /// may use any `n` their own simulation accepts.
     pub fn new(name: impl Into<String>, n: usize, t: usize, channels: usize) -> Self {
         ScenarioSpec {
@@ -540,13 +442,6 @@ impl ScenarioSpec {
             trace: TraceOutput::Memory,
             channel_model: ChannelModelSpec::Ideal,
         }
-    }
-
-    /// A scenario in one of Figure 3's channel regimes, with `n` floored to
-    /// the regime's minimum admissible node count.
-    pub fn in_regime(name: impl Into<String>, regime: Regime, t: usize, n: usize) -> Self {
-        let params = regime.params(t, n);
-        ScenarioSpec::new(name, params.n(), params.t(), params.c())
     }
 
     /// Set the workload.
@@ -665,13 +560,13 @@ impl ScenarioSpec {
     /// below [`Params::min_nodes`] is rejected, **not** silently inflated:
     /// a silently resized network would leave `BENCH_*.json` describing a
     /// run that never happened. Size the spec explicitly with
-    /// [`ScenarioSpec::in_regime`] or [`Params::min_nodes`].
+    /// [`Regime::params`](crate::Regime::params) or [`Params::min_nodes`].
     pub fn params(&self) -> Params {
         let min = Params::min_nodes(self.t, self.channels);
         assert!(
             self.n >= min,
             "scenario '{}' requests n={} below Params::min_nodes({}, {}) = {min}; \
-             size the spec explicitly (ScenarioSpec::in_regime or Params::min_nodes)",
+             size the spec explicitly (Regime::params or Params::min_nodes)",
             self.name,
             self.n,
             self.t,
@@ -871,13 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn regime_constructor_floors_n() {
-        let spec = ScenarioSpec::in_regime("s", Regime::Minimal, 2, 0);
-        assert!(spec.n >= Params::min_nodes(2, 3));
-        assert_eq!(spec.channels, 3);
-    }
-
-    #[test]
     #[should_panic(expected = "below Params::min_nodes")]
     fn params_rejects_undersized_n() {
         let _ = ScenarioSpec::new("s", 1, 2, 3).params();
@@ -887,60 +775,6 @@ mod tests {
     fn params_keeps_admissible_n_verbatim() {
         let n = Params::min_nodes(2, 3) + 5;
         assert_eq!(ScenarioSpec::new("s", n, 2, 3).params().n(), n);
-    }
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn trace_args_contract() {
-        assert_eq!(TraceOutput::parse_args(&args(&[])), Ok(TraceOutput::Memory));
-        assert_eq!(
-            TraceOutput::parse_args(&args(&["--trace-out", "traces"])),
-            Ok(TraceOutput::Stream {
-                dir: PathBuf::from("traces"),
-                policy: OverflowPolicy::Block,
-            })
-        );
-        // The `=` form is equivalent, and the only way to name a
-        // directory that starts with `--`.
-        assert_eq!(
-            TraceOutput::parse_args(&args(&["--trace-out=traces", "--trace-lossy"])),
-            Ok(TraceOutput::Stream {
-                dir: PathBuf::from("traces"),
-                policy: OverflowPolicy::DropNewest,
-            })
-        );
-        assert_eq!(
-            TraceOutput::parse_args(&args(&["--trace-out=--odd-dir"])),
-            Ok(TraceOutput::Stream {
-                dir: PathBuf::from("--odd-dir"),
-                policy: OverflowPolicy::Block,
-            })
-        );
-        // Flag-looking positional value: refused, pointing at the = form.
-        let err = TraceOutput::parse_args(&args(&["--trace-out", "--trace-lossy"])).unwrap_err();
-        assert!(err.contains("--trace-out=--trace-lossy"), "{err}");
-        assert!(TraceOutput::parse_args(&args(&["--trace-out"])).is_err());
-        assert!(TraceOutput::parse_args(&args(&["--trace-out="])).is_err());
-        // Typos must not silently run without streaming.
-        assert!(TraceOutput::parse_args(&args(&["--trace-outdir", "t"])).is_err());
-        assert!(TraceOutput::parse_args(&args(&["--tracelossy", "--trace-out", "t"])).is_err());
-        // Other parsers' flags pass through untouched.
-        assert_eq!(
-            TraceOutput::parse_args(&args(&["--shard", "1/2"])),
-            Ok(TraceOutput::Memory)
-        );
-    }
-
-    #[test]
-    fn orphan_trace_lossy_errors_loudly() {
-        // Regression: `--trace-lossy` without `--trace-out` used to be
-        // silently ignored — the user believed they had opted into lossy
-        // streaming while nothing streamed at all.
-        let err = TraceOutput::parse_args(&args(&["--trace-lossy"])).unwrap_err();
-        assert!(err.contains("--trace-out"), "{err}");
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //!
 //! ## CLI
 //!
-//! All ten experiment bins share one contract, parsed by
-//! [`ShardMode::from_args`] next to
-//! [`TraceOutput::from_args`](crate::TraceOutput::from_args):
+//! `--shard k/N` and `--merge <dir>` belong to the one experiment CLI
+//! contract, parsed once by [`Experiment::new`](crate::Experiment::new)
+//! (see [`experiment`](crate::experiment)):
 //!
 //! ```text
 //! <bin>                 # unsharded: run everything, write BENCH_<name>.json
@@ -51,11 +51,9 @@
 //!
 //! On one machine, run the `N` shard processes from the shell (e.g. in
 //! the background) and merge their directory; the CI `shard-smoke` job
-//! diffs the merged report against an unsharded run.
-//!
-//! Misspelled `--shard`/`--merge` flags are rejected at startup rather
-//! than silently ignored: a typo like `--shard1/2` must not quietly run
-//! the whole grid and overwrite the canonical report.
+//! diffs the merged report against an unsharded run. A misspelled flag
+//! (`--shard1/2`) is a startup error like any unknown argument: it must
+//! not quietly run the whole grid and overwrite the canonical report.
 
 use std::path::{Path, PathBuf};
 use std::thread;
@@ -89,131 +87,8 @@ impl std::fmt::Display for Shard {
     }
 }
 
-/// How a bin invocation participates in sharding — the parse of the
-/// shared `--shard k/N` / `--merge <dir>` CLI contract.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub enum ShardMode {
-    /// No shard flags: run the whole grid, write the canonical report.
-    #[default]
-    Full,
-    /// `--shard k/N`: run this shard's scenarios, write a shard file.
-    Run(Shard),
-    /// `--merge <dir>`: run nothing; merge `<dir>`'s shard files into the
-    /// canonical report.
-    Merge(PathBuf),
-}
-
-impl ShardMode {
-    /// Parse the process arguments (see the [module docs](self) for the
-    /// contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics on CLI misuse (malformed `k/N`, missing values,
-    /// `--shard` combined with `--merge`), reported at startup.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match ShardMode::parse_args(&args) {
-            Ok(mode) => mode,
-            Err(message) => panic!("{message}"),
-        }
-    }
-
-    /// The argument-list core of [`ShardMode::from_args`], split out so
-    /// the contract is unit-testable.
-    ///
-    /// # Errors
-    ///
-    /// A usage message on CLI misuse.
-    pub fn parse_args(args: &[String]) -> Result<Self, String> {
-        let mut shard: Option<Shard> = None;
-        let mut merge: Option<PathBuf> = None;
-        let mut iter = args.iter().peekable();
-        while let Some(arg) = iter.next() {
-            if arg == "--shard" {
-                match iter.peek() {
-                    Some(value) if !value.starts_with("--") => {
-                        shard = Some(parse_shard(value)?);
-                        iter.next();
-                    }
-                    _ => return Err("--shard needs a k/N value (e.g. --shard 1/2)".into()),
-                }
-            } else if let Some(value) = arg.strip_prefix("--shard=") {
-                shard = Some(parse_shard(value)?);
-            } else if arg == "--merge" {
-                match iter.peek() {
-                    Some(value) if !value.starts_with("--") => {
-                        merge = Some(PathBuf::from(*value));
-                        iter.next();
-                    }
-                    Some(value) => {
-                        return Err(format!(
-                            "--merge {value}: the value looks like another flag; \
-                             use --merge={value} if that really is the directory"
-                        ))
-                    }
-                    None => return Err("--merge needs a directory of shard files".into()),
-                }
-            } else if let Some(value) = arg.strip_prefix("--merge=") {
-                if value.is_empty() {
-                    return Err("--merge= needs a non-empty directory".into());
-                }
-                merge = Some(PathBuf::from(value));
-            } else if arg.starts_with("--shard") || arg.starts_with("--merge") {
-                // A typo like `--shard1/2` must not silently run the full
-                // grid (and overwrite the canonical report).
-                return Err(format!(
-                    "unrecognized option \"{arg}\"; use --shard k/N (or --shard=k/N) \
-                     and --merge <dir> (or --merge=<dir>)"
-                ));
-            }
-        }
-        match (shard, merge) {
-            (Some(_), Some(_)) => Err("--shard and --merge are mutually exclusive: a process \
-                 either runs one shard or merges finished shard files"
-                .into()),
-            (Some(shard), None) => Ok(ShardMode::Run(shard)),
-            (None, Some(dir)) => Ok(ShardMode::Merge(dir)),
-            (None, None) => Ok(ShardMode::Full),
-        }
-    }
-
-    /// `true` when this invocation executes the scenario at `grid_index`.
-    /// Merge mode executes nothing.
-    pub fn owns(&self, grid_index: usize) -> bool {
-        match self {
-            ShardMode::Full => true,
-            ShardMode::Run(shard) => shard.owns(grid_index),
-            ShardMode::Merge(_) => false,
-        }
-    }
-
-    /// The bins' merge entry point: in [`ShardMode::Merge`], perform the
-    /// merge for `report`, print the merged path, and return `true` (the
-    /// bin should exit without running anything); in every other mode,
-    /// return `false`.
-    ///
-    /// On a merge failure the error is printed to stderr and the process
-    /// exits with status 1 — an incomplete or torn shard set must not
-    /// look like a successful sweep.
-    pub fn handle_merge(&self, report: &str) -> bool {
-        let ShardMode::Merge(dir) = self else {
-            return false;
-        };
-        match merge_shards(dir, report) {
-            Ok(path) => {
-                println!("merged shard files into {}", path.display());
-                true
-            }
-            Err(err) => {
-                eprintln!("error: {err}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-fn parse_shard(value: &str) -> Result<Shard, String> {
+/// Parse a `--shard` value `k/N`.
+pub(crate) fn parse_shard(value: &str) -> Result<Shard, String> {
     let usage = || format!("--shard wants k/N with 1 <= k <= N, got \"{value}\"");
     let (k, n) = value.split_once('/').ok_or_else(usage)?;
     let index: usize = k.parse().map_err(|_| usage())?;
@@ -260,36 +135,32 @@ pub struct ShardRow {
 }
 
 /// The sharding-aware replacement for accumulating a [`BenchReport`] in an
-/// experiment bin: bins offer every grid scenario to
-/// [`ShardedReport::run`]; the report decides (by [`ShardMode`]) whether
-/// the scenario executes, records executed rows with their grid indices
-/// and per-trial outcomes, and [`ShardedReport::write_default`] emits
+/// experiment bin: every grid scenario is offered to
+/// [`ShardedReport::run`]; the report decides (by its optional [`Shard`])
+/// whether the scenario executes, records executed rows with their grid
+/// indices and per-trial outcomes, and [`ShardedReport::write`] emits
 /// either the canonical `BENCH_<name>.json` (unsharded) or the
 /// `BENCH_<name>.shard<k>of<N>.json` shard file.
 #[derive(Clone, Debug)]
 pub struct ShardedReport {
     name: String,
-    mode: ShardMode,
+    shard: Option<Shard>,
     next_index: usize,
     grid_fingerprint: u64,
     rows: Vec<ShardRow>,
 }
 
 impl ShardedReport {
-    /// An empty report for `BENCH_<name>` under `mode`.
-    pub fn new(name: impl Into<String>, mode: ShardMode) -> Self {
+    /// An empty report for `BENCH_<name>`, running every scenario
+    /// (`None`) or only `shard`'s.
+    pub fn new(name: impl Into<String>, shard: Option<Shard>) -> Self {
         ShardedReport {
             name: name.into(),
-            mode,
+            shard,
             next_index: 0,
             grid_fingerprint: FNV_OFFSET,
             rows: Vec::new(),
         }
-    }
-
-    /// The mode this report was created with.
-    pub fn mode(&self) -> &ShardMode {
-        &self.mode
     }
 
     /// Offer the next grid scenario: assigns the scenario the next grid
@@ -298,7 +169,7 @@ impl ShardedReport {
     /// shard (the bin skips its table row and moves on).
     ///
     /// Every bin must offer **the same scenarios in the same order** in
-    /// every mode — the grid index is assigned by call order, and the
+    /// every invocation — the grid index is assigned by call order, and the
     /// shard/unsharded equivalence rests on it.
     ///
     /// # Errors
@@ -318,7 +189,7 @@ impl ShardedReport {
         // so shard files from different grids can't merge (see module
         // docs).
         self.grid_fingerprint = fnv1a(self.grid_fingerprint, grid_identity(spec).as_bytes());
-        if !self.mode.owns(grid_index) {
+        if !self.shard.is_none_or(|shard| shard.owns(grid_index)) {
             return Ok(None);
         }
         let result = run()?;
@@ -330,11 +201,6 @@ impl ShardedReport {
         Ok(Some(result))
     }
 
-    /// The rows recorded so far (grid order).
-    pub fn rows(&self) -> &[ShardRow] {
-        &self.rows
-    }
-
     /// The recorded rows as a plain [`BenchReport`], aggregates re-folded
     /// from the per-trial outcomes — the exact fold an unsharded run
     /// performs, shared with the merger.
@@ -343,43 +209,22 @@ impl ShardedReport {
     }
 
     /// Write this invocation's output under `dir`, returning the path:
-    /// the canonical `BENCH_<name>.json` in [`ShardMode::Full`], the
-    /// `BENCH_<name>.shard<k>of<N>.json` shard file in [`ShardMode::Run`].
-    /// Both writes are atomic-by-rename.
+    /// the canonical `BENCH_<name>.json` when unsharded, else the
+    /// `BENCH_<name>.shard<k>of<N>.json` shard file. Both writes are
+    /// atomic-by-rename.
     ///
     /// # Errors
     ///
     /// I/O errors from file creation/write/rename.
-    ///
-    /// # Panics
-    ///
-    /// Panics in [`ShardMode::Merge`] — a merging process runs no
-    /// scenarios and has nothing to write; bins return after
-    /// [`ShardMode::handle_merge`].
     pub fn write(&self, dir: impl AsRef<Path>) -> std::io::Result<PathBuf> {
-        match &self.mode {
-            ShardMode::Full => self.to_report().write(dir),
-            ShardMode::Run(shard) => {
-                let path = dir
-                    .as_ref()
-                    .join(shard_file_name(&self.name, shard.index, shard.count));
-                write_atomic(&path, &self.shard_json(*shard))?;
-                Ok(path)
-            }
-            ShardMode::Merge(_) => {
-                panic!("merge-mode processes run no scenarios and write via merge_shards")
-            }
-        }
-    }
-
-    /// [`ShardedReport::write`] into the current directory (the repo root
-    /// when invoked via `cargo run`).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from file creation/write/rename.
-    pub fn write_default(&self) -> std::io::Result<PathBuf> {
-        self.write(".")
+        let Some(shard) = self.shard else {
+            return self.to_report().write(dir);
+        };
+        let path = dir
+            .as_ref()
+            .join(shard_file_name(&self.name, shard.index, shard.count));
+        write_atomic(&path, &self.shard_json(shard))?;
+        Ok(path)
     }
 
     /// The shard-file JSON document (`docs/BENCH_FORMAT.md`, *Shard
@@ -685,59 +530,6 @@ mod tests {
     use super::*;
     use crate::scenario::{AdversaryChoice, Workload};
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(ToString::to_string).collect()
-    }
-
-    #[test]
-    fn cli_contract_parses() {
-        assert_eq!(ShardMode::parse_args(&args(&[])), Ok(ShardMode::Full));
-        assert_eq!(
-            ShardMode::parse_args(&args(&["--shard", "2/3"])),
-            Ok(ShardMode::Run(Shard { index: 2, count: 3 }))
-        );
-        assert_eq!(
-            ShardMode::parse_args(&args(&["--shard=7/7", "--trace-out", "t"])),
-            Ok(ShardMode::Run(Shard { index: 7, count: 7 }))
-        );
-        assert_eq!(
-            ShardMode::parse_args(&args(&["--merge", "shards"])),
-            Ok(ShardMode::Merge(PathBuf::from("shards")))
-        );
-        assert_eq!(
-            ShardMode::parse_args(&args(&["--merge=."])),
-            Ok(ShardMode::Merge(PathBuf::from(".")))
-        );
-    }
-
-    #[test]
-    fn cli_contract_rejects_misuse() {
-        for bad in [
-            vec!["--shard"],
-            vec!["--shard", "3/2"],
-            vec!["--shard", "0/2"],
-            vec!["--shard", "1of2"],
-            vec!["--shard", "a/b"],
-            vec!["--shard", "--merge"],
-            vec!["--merge"],
-            vec!["--shard", "1/2", "--merge", "d"],
-            vec!["--shard=1/0"],
-            vec!["--merge="],
-            // Not an option: the --shard* catch-all rejects it rather
-            // than silently running the full grid.
-            vec!["--shard-exec", "2"],
-            // Typos must not silently run the full grid.
-            vec!["--shard1/2"],
-            vec!["--sharding", "1/2"],
-            vec!["--merge-dir", "d"],
-        ] {
-            assert!(
-                ShardMode::parse_args(&args(&bad)).is_err(),
-                "accepted {bad:?}"
-            );
-        }
-    }
-
     #[test]
     fn round_robin_ownership_partitions_the_grid() {
         for count in 1..=7 {
@@ -749,8 +541,6 @@ mod tests {
                 assert_eq!(owners[0], grid_index % count + 1);
             }
         }
-        assert!(ShardMode::Full.owns(5));
-        assert!(!ShardMode::Merge(PathBuf::from(".")).owns(5));
     }
 
     #[test]
@@ -792,8 +582,8 @@ mod tests {
         }
     }
 
-    fn run_grid(name: &str, mode: ShardMode, scenarios: usize) -> ShardedReport {
-        let mut report = ShardedReport::new(name, mode);
+    fn run_grid(name: &str, shard: Option<Shard>, scenarios: usize) -> ShardedReport {
+        let mut report = ShardedReport::new(name, shard);
         for s in 0..scenarios {
             let spec = sample_spec(&format!("s{s}"), 3);
             report
@@ -823,17 +613,17 @@ mod tests {
     #[test]
     fn merge_rejects_missing_and_mixed_shards() {
         let dir = temp_dir("missing");
-        run_grid("m", ShardMode::Run(Shard { index: 1, count: 3 }), 5)
+        run_grid("m", Some(Shard { index: 1, count: 3 }), 5)
             .write(&dir)
             .unwrap();
-        run_grid("m", ShardMode::Run(Shard { index: 3, count: 3 }), 5)
+        run_grid("m", Some(Shard { index: 3, count: 3 }), 5)
             .write(&dir)
             .unwrap();
         let err = merge_shards(&dir, "m").unwrap_err().to_string();
         assert!(err.contains("shard 2/3"), "{err}");
         assert!(err.contains("missing"), "{err}");
         // A shard from a different split is flagged as inconsistent.
-        run_grid("m", ShardMode::Run(Shard { index: 2, count: 4 }), 5)
+        run_grid("m", Some(Shard { index: 2, count: 4 }), 5)
             .write(&dir)
             .unwrap();
         let err = merge_shards(&dir, "m").unwrap_err().to_string();
@@ -844,12 +634,12 @@ mod tests {
     #[test]
     fn merge_rejects_torn_shard_file_naming_it() {
         let dir = temp_dir("torn");
-        run_grid("t", ShardMode::Run(Shard { index: 1, count: 2 }), 4)
+        run_grid("t", Some(Shard { index: 1, count: 2 }), 4)
             .write(&dir)
             .unwrap();
         // Simulate the pre-atomic-write failure mode: a prefix of a real
         // shard file, as left behind by a process killed mid-write.
-        let full = run_grid("t", ShardMode::Run(Shard { index: 2, count: 2 }), 4)
+        let full = run_grid("t", Some(Shard { index: 2, count: 2 }), 4)
             .shard_json(Shard { index: 2, count: 2 });
         let torn_path = dir.join(shard_file_name("t", 2, 2));
         std::fs::write(&torn_path, &full[..full.len() / 2]).unwrap();
@@ -867,17 +657,17 @@ mod tests {
         let dir = temp_dir("gaps");
         // Shard 1/2 of a 5-scenario grid, but shard 2/2 of a 2-scenario
         // grid: the walk fingerprints disagree.
-        run_grid("g", ShardMode::Run(Shard { index: 1, count: 2 }), 5)
+        run_grid("g", Some(Shard { index: 1, count: 2 }), 5)
             .write(&dir)
             .unwrap();
-        run_grid("g", ShardMode::Run(Shard { index: 2, count: 2 }), 2)
+        run_grid("g", Some(Shard { index: 2, count: 2 }), 2)
             .write(&dir)
             .unwrap();
         let err = merge_shards(&dir, "g").unwrap_err().to_string();
         assert!(err.contains("disagree on the scenario grid"), "{err}");
         // A renamed shard file is caught by the name/contents cross-check.
         let dir2 = temp_dir("renamed");
-        run_grid("g", ShardMode::Run(Shard { index: 1, count: 2 }), 4)
+        run_grid("g", Some(Shard { index: 1, count: 2 }), 4)
             .write(&dir2)
             .unwrap();
         std::fs::rename(
@@ -897,7 +687,7 @@ mod tests {
         // different specs (one changed seed) — the failure mode plain
         // index bookkeeping cannot see; the fingerprint catches it.
         let run_with = |index: usize, seed: u64| {
-            let mut report = ShardedReport::new("fp", ShardMode::Run(Shard { index, count: 2 }));
+            let mut report = ShardedReport::new("fp", Some(Shard { index, count: 2 }));
             for s in 0..4 {
                 let spec = sample_spec(&format!("s{s}"), 2).with_seed(seed);
                 report
@@ -934,7 +724,7 @@ mod tests {
         // feeds the grid fingerprint like any other axis.
         use radio_network::ChannelModelSpec;
         let run_with = |index: usize, model: ChannelModelSpec| {
-            let mut report = ShardedReport::new("cm", ShardMode::Run(Shard { index, count: 2 }));
+            let mut report = ShardedReport::new("cm", Some(Shard { index, count: 2 }));
             for s in 0..4 {
                 let spec = sample_spec(&format!("s{s}"), 2).with_channel_model(model.clone());
                 report
@@ -993,7 +783,7 @@ mod tests {
     #[test]
     fn merge_requires_matching_report_name() {
         let dir = temp_dir("name");
-        let report = run_grid("a", ShardMode::Run(Shard { index: 1, count: 1 }), 2);
+        let report = run_grid("a", Some(Shard { index: 1, count: 1 }), 2);
         let json = report.shard_json(Shard { index: 1, count: 1 });
         // File named for report "b" but contents say "a".
         std::fs::write(dir.join(shard_file_name("b", 1, 1)), json).unwrap();
@@ -1007,8 +797,8 @@ mod tests {
     #[test]
     fn single_shard_merge_matches_full_run() {
         let dir = temp_dir("single");
-        let full = run_grid("one", ShardMode::Full, 6);
-        run_grid("one", ShardMode::Run(Shard { index: 1, count: 1 }), 6)
+        let full = run_grid("one", None, 6);
+        run_grid("one", Some(Shard { index: 1, count: 1 }), 6)
             .write(&dir)
             .unwrap();
         let merged = merge_shards(&dir, "one").unwrap();

@@ -10,7 +10,7 @@ use fame::Params;
 use proptest::prelude::*;
 use radio_network::OverflowPolicy;
 use secure_radio_bench::{
-    merge_shards, AdversaryChoice, ExperimentRunner, ScenarioSpec, Shard, ShardMode, ShardedReport,
+    merge_shards, AdversaryChoice, ExperimentRunner, ScenarioSpec, Shard, ShardedReport,
     TraceOutput, TrialOutcome, Workload,
 };
 
@@ -32,9 +32,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// counts and seeds vary, trial outcomes are seed-deterministic, and
 /// every third scenario burns ~100x the work of its neighbours (skewed
 /// per-scenario costs — the load shape sharding exists for).
-fn run_synthetic(mode: ShardMode, scenarios: &[(usize, u64)]) -> ShardedReport {
+fn run_synthetic(shard: Option<Shard>, scenarios: &[(usize, u64)]) -> ShardedReport {
     let runner = ExperimentRunner::with_threads(3);
-    let mut report = ShardedReport::new("synthetic", mode);
+    let mut report = ShardedReport::new("synthetic", shard);
     for (i, &(trials, seed)) in scenarios.iter().enumerate() {
         let roster = AdversaryChoice::roster();
         let spec = ScenarioSpec::new(format!("s{i} seed={seed}"), 40, 2, 3)
@@ -93,14 +93,14 @@ proptest! {
             })
             .collect();
         let full_dir = temp_dir("full");
-        let full_path = run_synthetic(ShardMode::Full, &scenarios)
+        let full_path = run_synthetic(None, &scenarios)
             .write(&full_dir)
             .expect("unsharded write");
         let reference = std::fs::read_to_string(&full_path).expect("unsharded bytes");
         for count in [1usize, 2, 3, 7] {
             let dir = temp_dir("split");
             for index in 1..=count {
-                run_synthetic(ShardMode::Run(Shard { index, count }), &scenarios)
+                run_synthetic(Some(Shard { index, count }), &scenarios)
                     .write(&dir)
                     .expect("shard write");
             }
@@ -117,10 +117,10 @@ proptest! {
 
 /// Run the real f-AME trial over a small grid, streaming every trial's
 /// trace to `trace_dir`.
-fn run_fame_grid(mode: ShardMode, trace_dir: &Path) -> ShardedReport {
+fn run_fame_grid(shard: Option<Shard>, trace_dir: &Path) -> ShardedReport {
     let n = Params::min_nodes(1, 2);
     let runner = ExperimentRunner::with_threads(2);
-    let mut report = ShardedReport::new("stream_shard", mode);
+    let mut report = ShardedReport::new("stream_shard", shard);
     for (i, edges) in [4usize, 6, 5].into_iter().enumerate() {
         // A history-mining adversary: proves streamed shard runs keep the
         // in-memory window (and thus the execution) of unsharded runs.
@@ -164,7 +164,7 @@ fn trace_files(dir: &Path) -> Vec<(String, String)> {
 fn streamed_trace_shards_merge_byte_identically() {
     let full_traces = temp_dir("fame-traces-full");
     let full_dir = temp_dir("fame-full");
-    let full_path = run_fame_grid(ShardMode::Full, &full_traces)
+    let full_path = run_fame_grid(None, &full_traces)
         .write(&full_dir)
         .expect("unsharded write");
     let reference = std::fs::read_to_string(&full_path).expect("unsharded bytes");
@@ -172,7 +172,7 @@ fn streamed_trace_shards_merge_byte_identically() {
     let shard_traces = temp_dir("fame-traces-sharded");
     let shard_dir = temp_dir("fame-sharded");
     for index in 1..=2 {
-        run_fame_grid(ShardMode::Run(Shard { index, count: 2 }), &shard_traces)
+        run_fame_grid(Some(Shard { index, count: 2 }), &shard_traces)
             .write(&shard_dir)
             .expect("shard write");
     }
@@ -197,19 +197,18 @@ fn streamed_trace_shards_merge_byte_identically() {
 fn merge_ignores_other_reports_shards() {
     let dir = temp_dir("mixed");
     let scenarios = [(2usize, 7u64), (1, 8), (3, 9)];
-    run_synthetic(ShardMode::Full, &scenarios)
+    run_synthetic(None, &scenarios)
         .write(&dir)
         .expect("reference");
     let reference =
         std::fs::read_to_string(dir.join("BENCH_synthetic.json")).expect("reference bytes");
     for index in 1..=2 {
-        run_synthetic(ShardMode::Run(Shard { index, count: 2 }), &scenarios)
+        run_synthetic(Some(Shard { index, count: 2 }), &scenarios)
             .write(&dir)
             .expect("shard write");
     }
     // An unrelated report's shard file in the same directory.
-    let mut other =
-        ShardedReport::new("other_report", ShardMode::Run(Shard { index: 1, count: 1 }));
+    let mut other = ShardedReport::new("other_report", Some(Shard { index: 1, count: 1 }));
     let spec = ScenarioSpec::new("other", 40, 2, 3).with_trials(1);
     other
         .run(&spec, || {
