@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use radio_crypto::cipher::SealedBox;
 use radio_crypto::dh::{DhConfig, KeyPair};
-use radio_crypto::hmac::hmac_sha256;
+use radio_crypto::hmac::{hmac_sha256, HmacKey};
 use radio_crypto::key::SymmetricKey;
 use radio_crypto::prf::ChannelHopper;
 use radio_crypto::sha256::Sha256;
@@ -26,6 +26,13 @@ fn bench_hmac(c: &mut Criterion) {
     let msg = vec![0x5Au8; 256];
     c.bench_function("hmac_sha256/256B", |b| {
         b.iter(|| hmac_sha256(black_box(&key), black_box(&msg)))
+    });
+    // A held key tagging a long-lived frame's MAC input (8-byte nonce +
+    // 28-byte ciphertext): the key blocks are paid once, outside the loop.
+    let held = HmacKey::new(&key);
+    let frame = [0x17u8; 36];
+    c.bench_function("hmac_key/mac_36B", |b| {
+        b.iter(|| held.mac(black_box(&frame)))
     });
 }
 
@@ -51,8 +58,18 @@ fn bench_seal_open(c: &mut Criterion) {
 
 fn bench_hopper(c: &mut Criterion) {
     let key = SymmetricKey::from_bytes([9u8; 32]);
-    let hopper = ChannelHopper::new(&key, 5);
+    // One-shot: schedule built per hop, as the group-key and
+    // point-to-point nodes pay it.
     c.bench_function("hopper/channel_for", |b| {
+        let mut round = 0u64;
+        b.iter(|| {
+            round += 1;
+            ChannelHopper::new(black_box(&key), 3).channel_for(black_box(round))
+        })
+    });
+    // Held: one schedule per key, as a long-lived node keeps it.
+    let hopper = ChannelHopper::new(&key, 3);
+    c.bench_function("hopper/channel_for_held", |b| {
         let mut round = 0u64;
         b.iter(|| {
             round += 1;

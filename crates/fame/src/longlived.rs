@@ -13,6 +13,34 @@
 //!   emulated-round number matches — spoofed or replayed frames are
 //!   rejected.
 //!
+//! ## Accepting a frame
+//!
+//! A keyed listener accepts a received frame in emulated round `e` iff all
+//! of the following hold. They are checked in this order, each check only
+//! if the previous ones passed, and a rejected frame is rejected for the
+//! first one it fails:
+//!
+//! 1. **nonce** — the frame's public nonce is `e` (stops replays from
+//!    other emulated rounds before any crypto runs);
+//! 2. **already accepted** — the node has not yet accepted a broadcast
+//!    for `e` (the broadcaster repeats one frame for the whole epoch, so
+//!    every later copy is a duplicate; checked before the MAC so repeats
+//!    cost no crypto);
+//! 3. **MAC** — [`SealedBox::open`] verifies the tag under the current
+//!    key `K`;
+//! 4. **decode** — the plaintext carries a well-formed
+//!    `(sender, eround)` header;
+//! 5. **eround** — the embedded emulated round is `e`.
+//!
+//! The order decides only what each rejection costs and which check it
+//! is attributed to; the set of accepted frames is that of the plain
+//! conjunction. Every frame that could still be accepted is MAC-verified
+//! by the node that received it.
+//!
+//! Each keyed node holds one [`ChannelHopper`] for its current key,
+//! built on its first awake round under that key (so opening a session
+//! pays no crypto) and dropped on rekey.
+//!
 //! Guarantees (w.h.p.): **t-Reliability** (all key holders hear the
 //! broadcast), **Secrecy** (frames are ciphertext), **Authentication**
 //! (accepted frames were sent by a key holder in this emulated round).
@@ -78,12 +106,17 @@ pub struct Accept {
 #[derive(Clone, Debug)]
 pub struct LongLivedNode {
     id: usize,
-    params: Params,
+    /// Channels hopped over (`params.c()`), the one part of its `Params`
+    /// the node uses: a smaller node is cheaper to open sessions with.
+    channels: usize,
     key: Option<SymmetricKey>,
     /// My scripted broadcasts: emulated round -> message.
     script: BTreeMap<u64, Vec<u8>>,
     /// Scheduled key rotations: from emulated round -> new group key.
     rekeys: BTreeMap<u64, SymmetricKey>,
+    /// The hop schedule of `key`: built on the first awake round under
+    /// that key, dropped when the key rotates.
+    hopper: Option<ChannelHopper>,
     epoch_len: u64,
     emulated_rounds: u64,
     /// Accepted broadcasts: emulated round -> (sender, message).
@@ -108,10 +141,11 @@ impl LongLivedNode {
         LongLivedNode {
             id,
             epoch_len: params.epoch_rounds(),
-            params,
+            channels: params.c(),
             key,
             script,
             rekeys: BTreeMap::new(),
+            hopper: None,
             emulated_rounds,
             received: BTreeMap::new(),
             accepts: Vec::with_capacity(emulated_rounds as usize),
@@ -170,12 +204,16 @@ impl Protocol for LongLivedNode {
         {
             if let Some((_, key)) = self.rekeys.pop_first() {
                 self.key = Some(key);
+                self.hopper = None;
             }
         }
         let Some(key) = &self.key else {
             return Action::Sleep; // outside the keyed group
         };
-        let channel = ChannelId(ChannelHopper::new(key, self.params.c()).channel_for(self.round));
+        let hopper = self
+            .hopper
+            .get_or_insert_with(|| ChannelHopper::new(key, self.channels));
+        let channel = ChannelId(hopper.channel_for(self.round));
         match self.script.get(&e) {
             Some(message) => Action::Transmit {
                 channel,
@@ -195,12 +233,13 @@ impl Protocol for LongLivedNode {
         ) = (&self.key, &reception)
         {
             let e = self.current_eround();
-            // Authentication: MAC must verify under K *and* the frame must
-            // belong to this emulated round (nonce binding stops replays).
-            if sealed.nonce == e {
+            // The acceptance checks, in the order the module docs list:
+            // nonce binding (stops replays), then "already accepted" (the
+            // epoch's repeats cost no crypto), then MAC, decode, eround.
+            if sealed.nonce == e && !self.received.contains_key(&e) {
                 if let Some(plain) = sealed.open(key) {
                     if let Some((sender, eround, message)) = decode(&plain) {
-                        if eround == e && !self.received.contains_key(&e) {
+                        if eround == e {
                             self.accepts.push(Accept {
                                 round,
                                 eround: e,
@@ -627,6 +666,131 @@ mod tests {
                     .any(|s| s.eround == *e && s.sender == *sender && &s.message == message);
                 assert!(genuine, "node {node} accepted a forged frame at {e}");
             }
+        }
+    }
+
+    /// A listener (node 1, scripting nothing) in a 3-eround session.
+    fn listener(p: &Params, key: SymmetricKey) -> LongLivedNode {
+        LongLivedNode::new(1, p.clone(), Some(key), BTreeMap::new(), 3)
+    }
+
+    /// Drive one round of `node` in which it hears `frame`.
+    fn hear(node: &mut LongLivedNode, round: u64, frame: &SealedBox) {
+        let Action::Listen { channel } = node.begin_round(round) else {
+            panic!("a keyed node without a script listens");
+        };
+        node.end_round(
+            round,
+            Some(Reception {
+                channel,
+                frame: Some(frame),
+            }),
+        );
+    }
+
+    #[test]
+    fn forgery_ahead_of_the_genuine_frame_does_not_block_it() {
+        let p = params();
+        let key = SymmetricKey::from_bytes([42u8; 32]);
+        let wrong = SymmetricKey::from_bytes([13u8; 32]);
+        let e = 1;
+        let start = e * p.epoch_rounds();
+        let mut node = listener(&p, key);
+        // Right nonce, right header, wrong key: fails the MAC.
+        let forged = SealedBox::seal(&wrong, e, &encode(3, e, b"FORGED"));
+        hear(&mut node, start, &forged);
+        hear(&mut node, start + 1, &forged);
+        assert!(node.received().is_empty() && node.accepts().is_empty());
+        let genuine = SealedBox::seal(&key, e, &encode(3, e, b"genuine"));
+        hear(&mut node, start + 2, &genuine);
+        assert_eq!(
+            node.accepts(),
+            &[Accept {
+                round: start + 2,
+                eround: e,
+                sender: 3,
+            }]
+        );
+        assert_eq!(node.received()[&e], (3, b"genuine".to_vec()));
+    }
+
+    #[test]
+    fn frames_after_acceptance_change_nothing() {
+        let p = params();
+        let key = SymmetricKey::from_bytes([42u8; 32]);
+        let wrong = SymmetricKey::from_bytes([13u8; 32]);
+        let e = 1;
+        let start = e * p.epoch_rounds();
+        let mut node = listener(&p, key);
+        let genuine = SealedBox::seal(&key, e, &encode(3, e, b"genuine"));
+        hear(&mut node, start, &genuine);
+        let (received, accepts) = (node.received().clone(), node.accepts().to_vec());
+        assert_eq!(accepts.len(), 1);
+        let late = [
+            // A forgery with the right nonce.
+            SealedBox::seal(&wrong, e, &encode(5, e, b"FORGED")),
+            // A replay of the previous emulated round's broadcast.
+            SealedBox::seal(&key, e - 1, &encode(3, e - 1, b"old")),
+            // The same broadcast again, and a second key holder's frame.
+            genuine.clone(),
+            SealedBox::seal(&key, e, &encode(9, e, b"second")),
+        ];
+        for (i, frame) in late.iter().enumerate() {
+            hear(&mut node, start + 1 + i as u64, frame);
+            assert_eq!(node.received(), &received, "frame {i}");
+            assert_eq!(node.accepts(), &accepts[..], "frame {i}");
+        }
+    }
+
+    #[test]
+    fn rekey_switches_to_the_new_keys_hop_sequence() {
+        let p = params();
+        let old = SymmetricKey::from_bytes([42u8; 32]);
+        let new = SymmetricKey::from_bytes([43u8; 32]);
+        let mut node = listener(&p, old).with_rekeys(BTreeMap::from([(2, new)]));
+        let (before, after) = (
+            ChannelHopper::new(&old, p.c()),
+            ChannelHopper::new(&new, p.c()),
+        );
+        for round in 0..3 * p.epoch_rounds() {
+            let expected = if round / p.epoch_rounds() < 2 {
+                &before
+            } else {
+                &after
+            };
+            let Action::Listen { channel } = node.begin_round(round) else {
+                panic!("round {round}: a keyed node without a script listens");
+            };
+            assert_eq!(channel.0, expected.channel_for(round), "round {round}");
+            node.end_round(round, None);
+        }
+    }
+
+    #[test]
+    fn debug_of_node_is_redacted() {
+        let p = params();
+        let key = SymmetricKey::from_bytes([42u8; 32]);
+        let next = SymmetricKey::from_bytes([43u8; 32]);
+        let mut node = listener(&p, key).with_rekeys(BTreeMap::from([(1, next)]));
+        let _ = node.begin_round(0); // builds the held hop schedule
+        let mut dbg = format!("{node:?}");
+        assert!(dbg.contains("HmacKey(<redacted>)"), "no held hopper: {dbg}");
+        assert!(!dbg.contains("42, 42"), "raw key bytes leaked: {dbg}");
+        assert!(!dbg.contains("43, 43"), "raw key bytes leaked: {dbg}");
+        // The public fingerprint prefixes may show; drop them, then no
+        // number the size of a midstate word may remain (a leaked
+        // midstate shows as sixteen random u32s).
+        for k in [key, next] {
+            dbg = dbg.replace(&k.fingerprint().short_hex(), "");
+        }
+        for token in dbg.split(|c: char| !c.is_ascii_alphanumeric()) {
+            if let Ok(v) = token.parse::<u64>() {
+                assert!(v < 1_000_000, "midstate-sized number {v} in: {dbg}");
+            }
+            assert!(
+                token.len() < 8 || !token.bytes().all(|b| b.is_ascii_hexdigit()),
+                "hex word {token} in: {dbg}"
+            );
         }
     }
 

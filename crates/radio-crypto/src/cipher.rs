@@ -126,6 +126,24 @@ mod tests {
     }
 
     #[test]
+    fn compression_counts_at_frame_size() {
+        use crate::sha256::compressions::during;
+        // A long-lived frame: 12-byte header plus a 16-byte payload.
+        let plain = [0x42u8; 28];
+        let (boxed, sealed) = during(|| SealedBox::seal(&key(1), 9, &plain));
+        assert_eq!(sealed, 12, "seal: keystream 4 + MAC subkey 4 + tag 4");
+        let (opened, genuine) = during(|| boxed.open(&key(1)));
+        assert_eq!(opened.as_deref(), Some(&plain[..]));
+        assert_eq!(
+            genuine, 12,
+            "genuine open: MAC subkey 4 + tag 4 + keystream 4"
+        );
+        let (rejected, forged) = during(|| boxed.open(&key(2)));
+        assert_eq!(rejected, None);
+        assert_eq!(forged, 8, "rejected open stops after the tag check");
+    }
+
+    #[test]
     fn distinct_nonces_distinct_ciphertexts() {
         let a = SealedBox::seal(&key(1), 0, b"same plaintext");
         let b = SealedBox::seal(&key(1), 1, b"same plaintext");

@@ -1,5 +1,7 @@
 //! HMAC-SHA-256 (RFC 2104), validated against the RFC 4231 test vectors.
 
+use std::fmt;
+
 use crate::key::Digest;
 use crate::sha256::Sha256;
 
@@ -7,7 +9,66 @@ const BLOCK: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
-/// Compute `HMAC-SHA256(key, message)`.
+/// An HMAC-SHA-256 key with its two key blocks already hashed.
+///
+/// HMAC hashes `key ⊕ ipad` and `key ⊕ opad` as the first block of its
+/// inner and outer hashes; both depend on the key alone, so this caches
+/// the two chaining values (bare `[u32; 8]` midstates) and each
+/// [`HmacKey::mac`] of a message up to 55 bytes then costs 2 compressions
+/// instead of 4. The midstates are key-equivalent — anyone holding them
+/// can forge tags — so `Debug` is redacted.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Hash the key blocks of `key` (2 compressions; keys longer than a
+    /// block are hashed first, per RFC 2104).
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            let d = Sha256::digest(key);
+            key_block[..32].copy_from_slice(d.as_bytes());
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        // Pads live on the stack: the gateway's steady-state tick is
+        // pinned at zero heap allocations.
+        let pad = |byte: u8| {
+            let mut pad = [0u8; BLOCK];
+            for (p, b) in pad.iter_mut().zip(&key_block) {
+                *p = b ^ byte;
+            }
+            Sha256::block_midstate(&pad)
+        };
+        HmacKey {
+            inner: pad(IPAD),
+            outer: pad(OPAD),
+        }
+    }
+
+    /// `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> Digest {
+        let mut inner = Sha256::resume_after_block(self.inner);
+        inner.update(message);
+        let inner_digest = inner.finalize();
+        let mut outer = Sha256::resume_after_block(self.outer);
+        outer.update(inner_digest.as_bytes());
+        outer.finalize()
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HmacKey(<redacted>)")
+    }
+}
+
+/// Compute `HMAC-SHA256(key, message)` in one shot: [`HmacKey::new`] then
+/// [`HmacKey::mac`]. Hold an [`HmacKey`] instead when one key tags many
+/// messages.
 ///
 /// ```rust
 /// use radio_crypto::hmac::hmac_sha256;
@@ -18,34 +79,7 @@ const OPAD: u8 = 0x5c;
 /// );
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    // Keys longer than a block are hashed first (RFC 2104).
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        let d = Sha256::digest(key);
-        key_block[..32].copy_from_slice(d.as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    // Pads live on the stack: this runs once per PRF evaluation, which is
-    // once per node per round on the channel-hopping hot path, and the
-    // gateway's steady-state tick is pinned at zero heap allocations.
-    let mut pad = [0u8; BLOCK];
-    for (p, b) in pad.iter_mut().zip(&key_block) {
-        *p = b ^ IPAD;
-    }
-    let mut inner = Sha256::new();
-    inner.update(&pad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    for (p, b) in pad.iter_mut().zip(&key_block) {
-        *p = b ^ OPAD;
-    }
-    let mut outer = Sha256::new();
-    outer.update(&pad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-shape tag comparison.
@@ -127,5 +161,50 @@ mod tests {
     #[test]
     fn different_keys_different_tags() {
         assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
+    }
+
+    #[test]
+    fn held_key_matches_one_shot() {
+        let key = HmacKey::new(b"Jefe");
+        for len in [0usize, 1, 55, 56, 64, 200] {
+            let msg = vec![0x5Au8; len];
+            assert_eq!(key.mac(&msg), hmac_sha256(b"Jefe", &msg), "len {len}");
+        }
+    }
+
+    #[test]
+    fn compression_counts() {
+        use crate::sha256::compressions::during;
+        let (key, n) = during(|| HmacKey::new(&[7u8; 32]));
+        assert_eq!(n, 2, "key blocks");
+        assert_eq!(
+            during(|| key.mac(&[0u8; 55])).1,
+            2,
+            "held key, 55-byte message"
+        );
+        assert_eq!(
+            during(|| key.mac(&[0u8; 36])).1,
+            2,
+            "held key, 36-byte message"
+        );
+        assert_eq!(
+            during(|| hmac_sha256(&[7u8; 32], &[0u8; 36])).1,
+            4,
+            "one shot"
+        );
+    }
+
+    #[test]
+    fn debug_of_hmac_key_is_redacted() {
+        let key = HmacKey::new(&[7u8; 32]);
+        let dbg = format!("{key:?}");
+        assert!(dbg.contains("redacted"), "{dbg}");
+        for word in key.inner.iter().chain(&key.outer) {
+            assert!(!dbg.contains(&word.to_string()), "midstate leaked: {dbg}");
+            assert!(
+                !dbg.contains(&format!("{word:x}")),
+                "midstate leaked: {dbg}"
+            );
+        }
     }
 }

@@ -6,17 +6,18 @@
 //! Because the adversary lacks the key, every round it can do no better than
 //! guessing which `t` of the `C` channels to jam.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::key::{Digest, SymmetricKey};
 
 /// A keyed pseudo-random function `F(key, label, counter) -> 32 bytes`,
 /// instantiated as `HMAC-SHA256(key, label || counter_be)`.
 ///
 /// The `label` domain-separates independent uses of the same key (hopping
-/// vs. keystream vs. key derivation).
+/// vs. keystream vs. key derivation). The key blocks are hashed once, in
+/// [`Prf::new`]; each evaluation then costs 2 compressions.
 #[derive(Clone, Debug)]
 pub struct Prf {
-    key: SymmetricKey,
+    key: HmacKey,
     label: &'static [u8],
 }
 
@@ -37,7 +38,10 @@ impl Prf {
             label.len() <= MAX_LABEL,
             "PRF label exceeds MAX_LABEL bytes"
         );
-        Prf { key: *key, label }
+        Prf {
+            key: HmacKey::new(key.as_bytes()),
+            label,
+        }
     }
 
     /// Evaluate at `counter`.
@@ -46,7 +50,7 @@ impl Prf {
         let l = self.label.len();
         msg[..l].copy_from_slice(self.label);
         msg[l..l + 8].copy_from_slice(&counter.to_be_bytes());
-        hmac_sha256(self.key.as_bytes(), &msg[..l + 8])
+        self.key.mac(&msg[..l + 8])
     }
 
     /// Evaluate at `(counter, tweak)` — two-dimensional inputs.
@@ -56,11 +60,15 @@ impl Prf {
         msg[..l].copy_from_slice(self.label);
         msg[l..l + 8].copy_from_slice(&counter.to_be_bytes());
         msg[l + 8..l + 16].copy_from_slice(&tweak.to_be_bytes());
-        hmac_sha256(self.key.as_bytes(), &msg[..l + 16])
+        self.key.mac(&msg[..l + 16])
     }
 }
 
 /// The channel-hopping sequence shared by everyone who knows `key`.
+///
+/// Building one hashes the key blocks (2 compressions); hold it for as
+/// long as the key lives, and each [`ChannelHopper::channel_for`] costs 2
+/// compressions per rejection-sampling attempt.
 ///
 /// ```rust
 /// use radio_crypto::{ChannelHopper, key::SymmetricKey};
@@ -167,6 +175,17 @@ mod tests {
         for (ch, &c) in counts.iter().enumerate() {
             let dev = (c as f64 - expected).abs() / expected;
             assert!(dev < 0.15, "channel {ch} count {c} deviates {dev:.2}");
+        }
+    }
+
+    #[test]
+    fn held_hopper_costs_two_compressions_per_hop() {
+        use crate::sha256::compressions::during;
+        let (hopper, n) = during(|| ChannelHopper::new(&key(5), 3));
+        assert_eq!(n, 2, "key blocks, paid once");
+        // With 3 channels a rejection resample has probability ~2^-127.
+        for round in 0..64 {
+            assert_eq!(during(|| hopper.channel_for(round)).1, 2, "round {round}");
         }
     }
 

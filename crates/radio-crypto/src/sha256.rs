@@ -99,13 +99,19 @@ impl Sha256 {
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.length.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        // `update` mutated self.length; only buffer state matters now.
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // Padding, in place: 0x80, zeros, 64-bit big-endian length. A
+        // tail of more than 55 bytes leaves no room for the length, so it
+        // spills into one extra all-padding block.
+        let mut end = self.buffered;
+        self.buffer[end] = 0x80;
+        end += 1;
+        if end > 56 {
+            self.buffer[end..].fill(0);
+            let block = self.buffer;
+            self.compress(&block);
+            end = 0;
         }
-        // Append length without re-entering update's length bookkeeping.
+        self.buffer[end..56].fill(0);
         self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
@@ -117,7 +123,28 @@ impl Sha256 {
         Digest::from_bytes(out)
     }
 
+    /// The chaining value after one whole block: what HMAC caches per key
+    /// (see [`crate::hmac::HmacKey`]).
+    pub(crate) fn block_midstate(block: &[u8; 64]) -> [u32; 8] {
+        let mut h = Sha256::new();
+        h.compress(block);
+        h.state
+    }
+
+    /// A hasher that has already absorbed one block whose chaining value
+    /// is `state` — resumes from a [`Sha256::block_midstate`].
+    pub(crate) fn resume_after_block(state: [u32; 8]) -> Self {
+        Sha256 {
+            state,
+            length: 64,
+            buffer: [0u8; 64],
+            buffered: 0,
+        }
+    }
+
     fn compress(&mut self, block: &[u8; 64]) {
+        #[cfg(test)]
+        compressions::bump();
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -167,6 +194,29 @@ impl Sha256 {
 impl Default for Sha256 {
     fn default() -> Self {
         Sha256::new()
+    }
+}
+
+/// Test-only count of [`Sha256::compress`] calls on this thread, so unit
+/// tests can pin how many blocks a primitive hashes. Compiled out of every
+/// non-test build.
+#[cfg(test)]
+pub(crate) mod compressions {
+    use std::cell::Cell;
+
+    thread_local! {
+        static COUNT: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn bump() {
+        COUNT.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Compressions `f` performs (on the calling thread).
+    pub(crate) fn during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let before = COUNT.with(Cell::get);
+        let r = f();
+        (r, COUNT.with(Cell::get) - before)
     }
 }
 
@@ -230,8 +280,39 @@ mod tests {
     /// Padding boundary cases: lengths around the 55/56/64-byte edges.
     #[test]
     fn padding_boundaries() {
-        // Computed with the reference implementation; spot-check a couple of
-        // well-known ones and assert all lengths are distinct.
+        // Known answers for runs of 'a' (cross-checked with `sha256sum`):
+        // 55 bytes is the longest tail that fits its length in the same
+        // block, 56 and 63 spill into an extra padding block, 64 is one
+        // whole block, and 119 is 55 past a whole block.
+        let known: &[(usize, &str)] = &[
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+        ];
+        for &(len, expected) in known {
+            assert_eq!(
+                Sha256::digest(&vec![b'a'; len]).to_hex(),
+                expected,
+                "len {len}"
+            );
+        }
         let mut digests = Vec::new();
         for len in 50..70 {
             let data = vec![0x61u8; len];
@@ -242,11 +323,6 @@ mod tests {
                 assert_ne!(digests[i], digests[j]);
             }
         }
-        // len = 64 (exactly one block of 'a')
-        assert_eq!(
-            Sha256::digest(&[b'a'; 64]).to_hex(),
-            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"
-        );
     }
 
     #[test]
