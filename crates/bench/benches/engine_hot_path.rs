@@ -16,8 +16,8 @@
 //!   steady-state allocations with retention off, and only recycled
 //!   bounded-window retention otherwise (`tests/zero_alloc.rs` pins the
 //!   zero with a counting allocator).
-//! * `sinks/*` — the pluggable [`TraceSink`]s under full record
-//!   construction on a larger grid, where retention cost dominates.
+//! * `sinks/*` — where finished records go, as (retention, `TraceSink`)
+//!   pairs on a larger grid, where retention cost dominates.
 //! * `sparse/*` — O(active) resolution at fixed activity (24 awake nodes)
 //!   as the population grows: `dense_n*` rows drive the oracle over all
 //!   `n` dense actions, `sparse_n*` rows feed only the awake pairs to
@@ -36,8 +36,8 @@
 use criterion::{black_box, summaries_json, Criterion, Summary};
 use radio_network::testing::{to_sparse, ReferenceNetwork};
 use radio_network::{
-    Action, AdversaryAction, ChannelId, ChannelSink, InMemorySink, Network, NetworkConfig, NodeId,
-    NullSink, OverflowPolicy, RoundView, Simulation, TraceRetention, TraceSink,
+    Action, AdversaryAction, ChannelId, ChannelSink, Network, NetworkConfig, NodeId,
+    OverflowPolicy, RoundView, Simulation, TraceRetention,
 };
 use secure_radio_bench::smoke;
 use std::fmt::Debug;
@@ -181,8 +181,10 @@ fn bench_arena<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
 }
 
 /// The sink shoot-out: identical schedule and full record construction
-/// for every variant except the `NullSink` floor; only the destination of
-/// finished records differs.
+/// for every variant except the record-free `null` floor (retention off,
+/// no sink); only the destination of finished records differs:
+/// `inmemory_all` retains everything in the network's trace, the
+/// `channel_*` rows retain nothing and stream through a [`ChannelSink`].
 ///
 /// Unlike the `resolve_round/*` group, the network (and its sink) lives
 /// across *all* samples of a variant and each timed iteration advances it
@@ -208,34 +210,32 @@ fn bench_sinks<M: Clone + Debug + Send + 'static>(c: &mut Criterion, kind: &str,
         std::process::id()
     ));
 
-    type MakeSink<M> = Box<dyn Fn() -> Box<dyn TraceSink<M>>>;
-    let variants: Vec<(&str, MakeSink<M>)> = vec![
+    // (label, retention, streaming policy): every row is one
+    // (retention, sink) pair.
+    let variants = [
+        ("inmemory_all", TraceRetention::All, None),
         (
-            "inmemory_all",
-            Box::new(|| Box::new(InMemorySink::new(TraceRetention::All))),
+            "channel_block",
+            TraceRetention::None,
+            Some(OverflowPolicy::Block),
         ),
-        ("channel_block", {
-            let path = trace_path.clone();
-            Box::new(move || {
-                Box::new(
-                    ChannelSink::create(&path, SINK_QUEUE, OverflowPolicy::Block)
-                        .expect("create trace file"),
-                )
-            })
-        }),
-        ("channel_drop", {
-            let path = trace_path.clone();
-            Box::new(move || {
-                Box::new(
-                    ChannelSink::create(&path, SINK_QUEUE, OverflowPolicy::DropNewest)
-                        .expect("create trace file"),
-                )
-            })
-        }),
-        ("null", Box::new(|| Box::new(NullSink::new()))),
+        (
+            "channel_drop",
+            TraceRetention::None,
+            Some(OverflowPolicy::DropNewest),
+        ),
+        ("null", TraceRetention::None, None),
     ];
-    for (label, make_sink) in variants {
-        let mut net: Network<M> = Network::with_sink(cfg.clone(), make_sink());
+    for (label, retention, policy) in variants {
+        let cfg = cfg.clone().with_retention(retention);
+        let mut net: Network<M> = match policy {
+            Some(policy) => {
+                let sink = ChannelSink::create(&trace_path, SINK_QUEUE, policy)
+                    .expect("create trace file");
+                Network::with_sink(cfg, Box::new(sink))
+            }
+            None => Network::new(cfg),
+        };
         let mut round = 0usize;
         group.bench_function(label, |b| {
             b.iter(|| {

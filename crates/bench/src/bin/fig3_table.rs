@@ -23,7 +23,6 @@ use fame::feedback::{default_witness_sets, run_feedback, run_feedback_streaming}
 use fame::params::FeedbackMode;
 use radio_network::adversaries::RandomJammer;
 use radio_network::seed;
-use radio_network::TraceRetention;
 use removal_game::game::GameState;
 use removal_game::greedy::play;
 use removal_game::referee::AdversarialReferee;
@@ -159,13 +158,10 @@ fn main() {
                         .with_seed(seed ^ 0xE2)
                         .with_trace_output(exp.trace());
                 let result = exp.run(&spec, |ctx| {
-                    let sink = ctx
-                        .spec
-                        .trial_sink(ctx.trial, TraceRetention::All)
-                        .map_err(|e| TrialError {
-                            trial: ctx.trial,
-                            message: format!("trace sink: {e}"),
-                        })?;
+                    let sink = ctx.spec.trial_sink(ctx.trial).map_err(|e| TrialError {
+                        trial: ctx.trial,
+                        message: format!("trace sink: {e}"),
+                    })?;
                     let witness_sets = default_witness_sets(&p, flags.len());
                     let jammer = RandomJammer::new(seed::derive(ctx.seed, 1));
                     let ds = match sink {

@@ -17,13 +17,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fame::longlived::{
-    run_longlived, run_longlived_streaming, ScriptEntry, LONGLIVED_TRACE_WINDOW,
-};
+use fame::longlived::{run_longlived, run_longlived_streaming, ScriptEntry};
 use radio_crypto::cipher::SealedBox;
 use radio_crypto::key::SymmetricKey;
 use radio_network::adversaries::{BusyChannelJammer, NoAdversary, RandomJammer};
-use radio_network::{seed, Adversary, TraceRetention};
+use radio_network::{seed, Adversary};
 use secure_radio_bench::{
     ratio, smoke, smoke_trials, Accepts, AdversaryChoice, Experiment, Regime, ScenarioSpec, Table,
     TrialError, TrialOutcome, Workload,
@@ -114,18 +112,10 @@ fn main() {
                 let (hits, slots) = (AtomicU64::new(0), AtomicU64::new(0));
                 let result = exp.run(&spec, |ctx| {
                     let adv = sealed_adversary(&spec.adversary, seed::derive(ctx.seed, 1));
-                    // Streamed traces keep the window run_longlived
-                    // uses, so trace-mining jammers replay identically.
-                    let sink = ctx
-                        .spec
-                        .trial_sink(
-                            ctx.trial,
-                            TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW),
-                        )
-                        .map_err(|e| TrialError {
-                            trial: ctx.trial,
-                            message: format!("trace sink: {e}"),
-                        })?;
+                    let sink = ctx.spec.trial_sink(ctx.trial).map_err(|e| TrialError {
+                        trial: ctx.trial,
+                        message: format!("trace sink: {e}"),
+                    })?;
                     let r = match sink {
                         Some(sink) => {
                             run_longlived_streaming(&p, &keys, &entries, adv, ctx.seed, sink)

@@ -26,7 +26,7 @@ use fame::feedback::{default_witness_sets, run_feedback, run_feedback_streaming}
 use fame::Params;
 use radio_network::adversaries::RandomJammer;
 use radio_network::seed;
-use radio_network::{ChannelModelSpec, TraceRetention};
+use radio_network::ChannelModelSpec;
 use secure_radio_bench::{
     smoke, smoke_trials, Accepts, AdversaryChoice, Experiment, ScenarioSpec, Table, TrialError,
     TrialOutcome, Workload,
@@ -91,16 +91,10 @@ fn main() {
             let expected: BTreeSet<usize> = [0usize, 2].into_iter().collect();
 
             let Some(result) = exp.run(&spec, |ctx| {
-                // Standalone feedback runs keep the full in-memory
-                // trace; a streamed trial retains the same history so
-                // it stays bit-identical to an unstreamed one.
-                let sink = ctx
-                    .spec
-                    .trial_sink(ctx.trial, TraceRetention::All)
-                    .map_err(|e| TrialError {
-                        trial: ctx.trial,
-                        message: format!("trace sink: {e}"),
-                    })?;
+                let sink = ctx.spec.trial_sink(ctx.trial).map_err(|e| TrialError {
+                    trial: ctx.trial,
+                    message: format!("trace sink: {e}"),
+                })?;
                 let witness_sets = default_witness_sets(&p, flags.len());
                 let jammer = RandomJammer::new(seed::derive(ctx.seed, 1));
                 let ds = match sink {

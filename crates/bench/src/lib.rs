@@ -2,8 +2,8 @@
 //!
 //! The experiment harness that regenerates every table and figure of
 //! Dolev, Gilbert, Guerraoui & Newport (PODC 2008). Each binary under
-//! `src/bin/` prints one experiment's table (see the experiment index in
-//! `DESIGN.md` and the recorded results in `EXPERIMENTS.md`):
+//! `src/bin/` prints one experiment's table and records its results in a
+//! `BENCH_<name>.json` report (schema in `docs/BENCH_FORMAT.md`):
 //!
 //! | binary | experiment | paper source |
 //! |---|---|---|

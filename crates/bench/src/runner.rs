@@ -33,10 +33,9 @@
 //!
 //! Multi-trial sweeps should not retain full execution traces (a long
 //! group-key setup can retain gigabytes). The fame-layer helpers inherit
-//! `run_fame`'s bounded `TraceRetention::LastRounds(64)`, and a streamed
-//! trial's sink keeps the same window ([`fame_run_for_trial`]); custom
-//! trial closures that drive the engine directly pass their own layer's
-//! window to [`ScenarioSpec::trial_sink`].
+//! `run_fame`'s bounded `TraceRetention::LastRounds(64)`; a streamed
+//! trial ([`ScenarioSpec::trial_sink`]) writes every round to its file
+//! without changing what the run retains.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -44,9 +43,9 @@ use std::sync::Mutex;
 use std::thread;
 
 use fame::problem::AmeInstance;
-use fame::protocol::{run_fame, run_fame_streaming, FAME_TRACE_WINDOW};
+use fame::protocol::{run_fame, run_fame_streaming};
 use fame::Params;
-use radio_network::{json_escape, TraceRetention};
+use radio_network::json_escape;
 
 use crate::scenario::ScenarioSpec;
 use crate::Table;
@@ -395,9 +394,8 @@ impl ExperimentRunner {
 /// Run f-AME for one trial with the scenario's adversary, honoring the
 /// spec's [`TraceOutput`](crate::TraceOutput): when the scenario streams,
 /// the trial goes through `run_fame_streaming` with a per-trial
-/// [`ChannelSink`](radio_network::ChannelSink) retaining the same
-/// in-memory window `run_fame` uses, so trace-mining adversaries replay
-/// bit-identically either way.
+/// [`ChannelSink`](radio_network::ChannelSink), and runs bit-identically
+/// either way.
 ///
 /// This is the single streaming-aware f-AME entry the standard
 /// [`fame_trial_outcome`] *and* the bins' bespoke trial closures share —
@@ -413,13 +411,10 @@ pub fn fame_run_for_trial(
     ctx: &TrialCtx<'_>,
 ) -> Result<fame::protocol::FameRun, TrialError> {
     let adversary = ctx.spec.adversary.build(params, instance.pairs(), ctx.seed);
-    let sink = ctx
-        .spec
-        .trial_sink(ctx.trial, TraceRetention::LastRounds(FAME_TRACE_WINDOW))
-        .map_err(|e| TrialError {
-            trial: ctx.trial,
-            message: format!("trace sink: {e}"),
-        })?;
+    let sink = ctx.spec.trial_sink(ctx.trial).map_err(|e| TrialError {
+        trial: ctx.trial,
+        message: format!("trace sink: {e}"),
+    })?;
     match sink {
         Some(sink) => run_fame_streaming(instance, params, adversary, ctx.seed, sink),
         None => run_fame(instance, params, adversary, ctx.seed),

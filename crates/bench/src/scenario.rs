@@ -11,8 +11,7 @@ use radio_network::adversaries::{
     BusyChannelJammer, NoAdversary, RandomJammer, Spoofer, SweepJammer,
 };
 use radio_network::{
-    json_escape, seed, Adversary, ChannelModelSpec, ChannelSink, OverflowPolicy, TraceRetention,
-    TraceSink,
+    json_escape, seed, Adversary, ChannelModelSpec, ChannelSink, OverflowPolicy, TraceSink,
 };
 
 use crate::json::{field, kind, str_field, u64_field, usize_field, Json};
@@ -515,21 +514,14 @@ impl ScenarioSpec {
     }
 
     /// Build the per-trial streaming sink this spec requests, if any.
-    ///
-    /// `history` is the in-memory window the sink also retains — pass the
-    /// executing layer's retention (e.g. `LastRounds(FAME_TRACE_WINDOW)`
-    /// for f-AME) so trace-mining adversaries behave bit-identically to a
-    /// non-streamed run. Frames are rendered with their `Debug` form, as
+    /// The sink only observes, so a streamed trial runs bit-identically to
+    /// a non-streamed one. Frames are rendered with their `Debug` form, as
     /// `docs/TRACE_FORMAT.md` specifies.
     ///
     /// # Errors
     ///
     /// Directory/file creation errors.
-    pub fn trial_sink<M>(
-        &self,
-        trial: usize,
-        history: TraceRetention,
-    ) -> std::io::Result<Option<Box<dyn TraceSink<M>>>>
+    pub fn trial_sink<M>(&self, trial: usize) -> std::io::Result<Option<Box<dyn TraceSink<M>>>>
     where
         M: Clone + std::fmt::Debug + Send + 'static,
     {
@@ -538,7 +530,7 @@ impl ScenarioSpec {
         };
         std::fs::create_dir_all(dir)?;
         let path = self.trace_path(trial).expect("stream output has a path");
-        let sink = ChannelSink::create(path, TRACE_QUEUE_CAPACITY, *policy)?.with_history(history);
+        let sink = ChannelSink::create(path, TRACE_QUEUE_CAPACITY, *policy)?;
         // Non-ideal models stamp the trace with a header line so a replay
         // can rebuild the exact network (docs/TRACE_FORMAT.md); ideal
         // traces stay headerless, byte-identical to the pre-model format.

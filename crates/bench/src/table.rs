@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// A simple aligned table with a title, printable to stdout and easy to
-/// paste into `EXPERIMENTS.md`.
+/// paste into Markdown.
 #[derive(Clone, Debug)]
 pub struct Table {
     title: String,

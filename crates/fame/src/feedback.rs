@@ -242,12 +242,10 @@ where
     run_feedback_inner(params, witness_sets, flags, adversary, seed, None)
 }
 
-/// Like [`run_feedback`] but handing every finished round to `sink`
+/// Like [`run_feedback`], also handing every finished round to `sink`
 /// (e.g. a [`ChannelSink`](radio_network::ChannelSink) streaming the
-/// trace to a file). To stay bit-identical to [`run_feedback`], give the
-/// sink a retained `TraceRetention::All` history — the default in-memory
-/// trace a standalone invocation runs with — so trace-mining adversaries
-/// observe the same past.
+/// trace to a file). The execution is bit-identical to
+/// [`run_feedback`]'s.
 ///
 /// # Errors
 ///

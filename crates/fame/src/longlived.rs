@@ -338,13 +338,11 @@ where
     run_longlived_inner(params, keys, script, adversary, seed, keep_trace, None)
 }
 
-/// Like [`run_longlived`] but handing every finished round to `sink`
-/// (e.g. a [`ChannelSink`](radio_network::ChannelSink) streaming the
-/// trace to a file). To keep the execution bit-identical to
-/// [`run_longlived`]'s `keep_trace = false` run, give the sink a retained
-/// history of `TraceRetention::LastRounds(`[`LONGLIVED_TRACE_WINDOW`]`)`
-/// so trace-mining adversaries observe the same past. The report's
-/// `trace` field is `None` — the stream is the product.
+/// Like [`run_longlived`]'s `keep_trace = false` run, also handing every
+/// finished round to `sink` (e.g. a
+/// [`ChannelSink`](radio_network::ChannelSink) streaming the trace to a
+/// file). The execution is bit-identical; the report's `trace` field is
+/// `None` — the stream is the product.
 ///
 /// # Errors
 ///
@@ -367,6 +365,58 @@ where
 /// for its trace-mining adversaries (rounds).
 pub const LONGLIVED_TRACE_WINDOW: usize = 8;
 
+/// The nodes of a long-lived session and its length in emulated rounds —
+/// the one node assembly behind [`LongLivedSession::open`] and corpus
+/// replay.
+///
+/// The session lasts `max(horizon, last scripted eround + 1)` emulated
+/// rounds; node `v` broadcasts its entries of `script` and holds
+/// `keys[v]`; only keyed nodes carry the `rekeys` schedule.
+///
+/// # Panics
+///
+/// Panics when `keys` and `params.n()` disagree or a scripted sender has
+/// no group key (configuration bugs).
+pub fn session_nodes(
+    params: &Params,
+    keys: &[Option<SymmetricKey>],
+    script: &[ScriptEntry],
+    rekeys: &[(u64, SymmetricKey)],
+    horizon: u64,
+) -> (Vec<LongLivedNode>, u64) {
+    assert_eq!(keys.len(), params.n(), "one key slot per node");
+    let emulated_rounds = script
+        .iter()
+        .map(|e| e.eround + 1)
+        .max()
+        .unwrap_or(0)
+        .max(horizon);
+    for entry in script {
+        assert!(
+            keys[entry.sender].is_some(),
+            "scripted sender {} has no group key",
+            entry.sender
+        );
+    }
+    let rekey_map: BTreeMap<u64, SymmetricKey> = rekeys.iter().copied().collect();
+    let nodes = (0..params.n())
+        .map(|id| {
+            let my_script: BTreeMap<u64, Vec<u8>> = script
+                .iter()
+                .filter(|e| e.sender == id)
+                .map(|e| (e.eround, e.message.clone()))
+                .collect();
+            let node = LongLivedNode::new(id, params.clone(), keys[id], my_script, emulated_rounds);
+            if keys[id].is_some() {
+                node.with_rekeys(rekey_map.clone())
+            } else {
+                node
+            }
+        })
+        .collect();
+    (nodes, emulated_rounds)
+}
+
 /// An open long-lived session as a *steppable handle*: the same network,
 /// nodes, and drive order as [`run_longlived`], but advanced one physical
 /// round at a time by the caller instead of run-to-completion. This is
@@ -379,7 +429,6 @@ pub struct LongLivedSession<A: Adversary<SealedBox>> {
     sim: Simulation<LongLivedNode, A>,
     epoch_len: u64,
     total: u64,
-    rounds: u64,
 }
 
 impl<A: Adversary<SealedBox>> LongLivedSession<A> {
@@ -391,9 +440,10 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
     /// see [`LongLivedNode::with_rekeys`]). The session lasts
     /// `max(horizon, last scripted eround + 1)` emulated rounds — pass
     /// `horizon = 0` to derive the length from the script alone, as
-    /// [`run_longlived`] does. `retention` is the in-memory history the
-    /// adversary observes; `sink` optionally streams finished rounds
-    /// (e.g. to a trace file).
+    /// [`run_longlived`] does ([`session_nodes`] builds the nodes).
+    /// `retention` is the in-memory history the adversary observes;
+    /// `sink` optionally observes finished rounds (e.g. streaming them to
+    /// a trace file) without changing the run.
     ///
     /// # Errors
     ///
@@ -415,40 +465,10 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
         retention: TraceRetention,
         sink: Option<Box<dyn TraceSink<SealedBox>>>,
     ) -> Result<Self, EngineError> {
-        assert_eq!(keys.len(), params.n(), "one key slot per node");
-        let emulated_rounds = script
-            .iter()
-            .map(|e| e.eround + 1)
-            .max()
-            .unwrap_or(0)
-            .max(horizon);
-        for entry in script {
-            assert!(
-                keys[entry.sender].is_some(),
-                "scripted sender {} has no group key",
-                entry.sender
-            );
-        }
+        let (nodes, emulated_rounds) = session_nodes(params, keys, script, rekeys, horizon);
         let cfg = NetworkConfig::new(params.c(), params.t())?
             .with_channel_model(params.channel_model().clone())
             .with_retention(retention);
-        let rekey_map: BTreeMap<u64, SymmetricKey> = rekeys.iter().copied().collect();
-        let nodes: Vec<LongLivedNode> = (0..params.n())
-            .map(|id| {
-                let my_script: BTreeMap<u64, Vec<u8>> = script
-                    .iter()
-                    .filter(|e| e.sender == id)
-                    .map(|e| (e.eround, e.message.clone()))
-                    .collect();
-                let node =
-                    LongLivedNode::new(id, params.clone(), keys[id], my_script, emulated_rounds);
-                if keys[id].is_some() {
-                    node.with_rekeys(rekey_map.clone())
-                } else {
-                    node
-                }
-            })
-            .collect();
         let sim = match sink {
             Some(sink) => Simulation::with_sink(cfg, nodes, adversary, seed, sink)?,
             None => Simulation::new(cfg, nodes, adversary, seed)?,
@@ -457,7 +477,6 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
             sim,
             epoch_len: params.epoch_rounds(),
             total: emulated_rounds * params.epoch_rounds(),
-            rounds: 0,
         })
     }
 
@@ -468,9 +487,7 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
     /// Propagates engine failures; the round is re-queued, so a caller
     /// may retry.
     pub fn step(&mut self) -> Result<(), EngineError> {
-        self.sim.step()?;
-        self.rounds += 1;
-        Ok(())
+        self.sim.step()
     }
 
     /// `true` once every node has finished its emulated rounds.
@@ -480,7 +497,7 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
 
     /// Physical rounds stepped so far.
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        self.sim.trace().completed_rounds()
     }
 
     /// Physical rounds per emulated round.
@@ -506,13 +523,15 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
     }
 
     /// Drive the session to completion and wrap up the standard report.
+    /// Rounds count from the session's start, including any already
+    /// taken with [`LongLivedSession::step`].
     ///
     /// # Errors
     ///
     /// Engine failures, or `RoundLimitExceeded` past the session length.
     pub fn run(&mut self, keep_trace: bool) -> Result<LongLivedReport, EngineError> {
-        let report = self.sim.run(self.total + 2)?;
-        self.rounds = report.rounds;
+        let limit = (self.total + 2).saturating_sub(self.rounds());
+        let report = self.sim.run(limit)?;
         let trace = keep_trace.then(|| self.sim.trace().clone());
         Ok(LongLivedReport {
             received: self
@@ -521,7 +540,7 @@ impl<A: Adversary<SealedBox>> LongLivedSession<A> {
                 .iter()
                 .map(|n| n.received().clone())
                 .collect(),
-            rounds: report.rounds,
+            rounds: self.rounds(),
             epoch_len: self.epoch_len,
             stats: report.stats,
             trace,
@@ -629,6 +648,37 @@ mod tests {
         let holders = vec![true; p.n()];
         assert!((report.delivery_rate(&script(), &holders) - 1.0).abs() < 1e-9);
         assert_eq!(report.rounds, 3 * p.epoch_rounds());
+    }
+
+    #[test]
+    fn run_after_step_counts_rounds_from_session_start() {
+        let p = params();
+        let ks = keys(&p, &[]);
+        let open = || {
+            LongLivedSession::open(
+                &p,
+                &ks,
+                &script(),
+                &[],
+                0,
+                RandomJammer::new(7),
+                9,
+                TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW),
+                None,
+            )
+            .unwrap()
+        };
+        let whole = open().run(false).unwrap();
+        let mut stepped = open();
+        for _ in 0..5 {
+            stepped.step().unwrap();
+        }
+        assert_eq!(stepped.rounds(), 5);
+        let report = stepped.run(false).unwrap();
+        assert_eq!(report.rounds, whole.rounds);
+        assert_eq!(stepped.rounds(), whole.rounds);
+        assert_eq!(report.stats, whole.stats);
+        assert_eq!(report.received, whole.received);
     }
 
     #[test]

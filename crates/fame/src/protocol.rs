@@ -551,12 +551,9 @@ where
     run_fame_inner(instance, params, adversary, seed, None, inspector)
 }
 
-/// Like [`run_fame`] but handing every finished round to `sink` (e.g. a
+/// Like [`run_fame`], also handing every finished round to `sink` (e.g. a
 /// [`ChannelSink`](radio_network::ChannelSink) streaming the trace to a
-/// file). To keep the execution bit-identical to [`run_fame`]'s, give the
-/// sink the same retained history f-AME runs with —
-/// `TraceRetention::LastRounds(`[`FAME_TRACE_WINDOW`]`)` — so
-/// trace-mining adversaries observe the same past.
+/// file). The execution is bit-identical to [`run_fame`]'s.
 ///
 /// # Errors
 ///

@@ -26,7 +26,6 @@
 //! pair; with only `t` the adversary could focus its entire budget and
 //! starve one pair indefinitely. We assign `2t` (which still fits:
 //! `⌊k/2⌋·2t ≤ C'·t ≤ C`), keeping the per-round escape probability ≥ 1/2.
-//! Documented in DESIGN.md.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -23,10 +23,12 @@
 //!   *not* copied into the arena — they are borrowed from the caller's
 //!   action storage and adversary action through the returned
 //!   [`RoundView`];
-//! * when the installed [`TraceSink`] keeps records, the
-//!   [`RoundRecord`] is built in a **record arena** (one `RoundRecord`
-//!   whose vectors are cleared and refilled each round) and handed to the
-//!   sink by reference — sinks copy only what they retain or stream.
+//! * when the config's retention keeps records or a [`TraceSink`] is
+//!   attached, the [`RoundRecord`] is built in a **record arena** (one
+//!   `RoundRecord` whose vectors are cleared and refilled each round),
+//!   shown to the sink by reference, and then swapped into the network's
+//!   [`Trace`] ([`Trace::push_swap`]) — a bounded window retains a round
+//!   without copying a single element.
 //!
 //! ## The active-channel worklist
 //!
@@ -45,7 +47,7 @@
 //! as well (the [`Simulation`](crate::Simulation) driver's wake-queue
 //! feeds it).
 //!
-//! The result: with retention off (or a [`NullSink`]) a steady-state round
+//! The result: with retention off and no sink a steady-state round
 //! performs **zero** heap allocations (verified by the counting-allocator
 //! test in `tests/zero_alloc.rs`), and with a bounded in-memory window the
 //! retained records are recycled in place.
@@ -57,7 +59,7 @@ use crate::channel_model::{
 };
 use crate::error::EngineError;
 use crate::node::{Action, ChannelId, NodeId};
-use crate::sink::{InMemorySink, NullSink, TraceSink};
+use crate::sink::TraceSink;
 use crate::stats::Stats;
 use crate::trace::{RoundRecord, Trace, TraceRetention};
 
@@ -204,43 +206,39 @@ struct RoundArena<M> {
     adv_idx: Vec<Option<u32>>,
     /// Per-channel outcome tags.
     slots: Vec<ChannelSlot>,
-    /// Record arena: rebuilt in place each round the sink keeps records.
+    /// Record arena: rebuilt in place each round a record is built.
     record: RoundRecord<M>,
 }
 
 impl<M> RoundArena<M> {
     fn new(channels: usize) -> Self {
-        let mut arena = RoundArena {
+        RoundArena {
             epoch: 0,
-            touched: Vec::new(),
+            touched: vec![0; channels],
             active: Vec::new(),
             tx_node: Vec::new(),
             tx_chan: Vec::new(),
             tx_src: Vec::new(),
             order: Vec::new(),
-            spans: Vec::new(),
-            counts: Vec::new(),
+            spans: vec![(0, 0); channels],
+            counts: vec![0; channels],
             listeners: Vec::new(),
             l_order: Vec::new(),
-            l_spans: Vec::new(),
-            l_counts: Vec::new(),
-            adv_idx: Vec::new(),
-            slots: Vec::new(),
+            l_spans: vec![(0, 0); channels],
+            l_counts: vec![0; channels],
+            adv_idx: vec![None; channels],
+            slots: vec![ChannelSlot::Idle; channels],
             record: RoundRecord::empty(),
-        };
-        arena.begin(channels);
-        arena
+        }
     }
 
     // detlint: deny-alloc(start) arena per-round reset (begin/touch)
-    /// Reset for a new round over `channels` channels. Flat buffers are
-    /// cleared (O(activity of the previous round)); per-channel buffers
+    /// Reset for a new round. Flat buffers are cleared (O(activity of the
+    /// previous round)); per-channel buffers, sized once at construction,
     /// are *not* — bumping the epoch invalidates them wholesale, and
     /// [`RoundArena::touch`] resets each channel's slice lazily on its
-    /// first event. Only a channel-count change (see
-    /// [`Network::reconfigure`]) pays an O(C) re-size, which also wipes
-    /// every stale stamp.
-    fn begin(&mut self, channels: usize) {
+    /// first event.
+    fn begin(&mut self) {
         self.tx_node.clear();
         self.tx_chan.clear();
         self.tx_src.clear();
@@ -249,22 +247,6 @@ impl<M> RoundArena<M> {
         self.l_order.clear();
         self.active.clear();
         self.epoch += 1;
-        if self.touched.len() != channels {
-            self.touched.clear();
-            self.touched.resize(channels, 0);
-            self.counts.clear();
-            self.counts.resize(channels, 0);
-            self.l_counts.clear();
-            self.l_counts.resize(channels, 0);
-            self.adv_idx.clear();
-            self.adv_idx.resize(channels, None);
-            self.spans.clear();
-            self.spans.resize(channels, (0, 0));
-            self.l_spans.clear();
-            self.l_spans.resize(channels, (0, 0));
-            self.slots.clear();
-            self.slots.resize(channels, ChannelSlot::Idle);
-        }
     }
 
     /// First event on `ch` this round: reset its scratch and put it on
@@ -583,7 +565,8 @@ impl<'a, M> RoundView<'a, M> {
     }
 }
 
-/// The radio medium: resolves rounds, hands each finished round to a
+/// The radio medium: resolves rounds, keeps the [`Trace`] its config's
+/// retention asks for, shows each finished round to an optional
 /// [`TraceSink`], and accumulates [`Stats`].
 ///
 /// `Network` is deliberately free of nodes and adversaries — it is a pure
@@ -594,7 +577,11 @@ impl<'a, M> RoundView<'a, M> {
 pub struct Network<M> {
     cfg: NetworkConfig,
     round: u64,
-    sink: Box<dyn TraceSink<M>>,
+    /// The history the adversary observes, retained per
+    /// [`NetworkConfig::retention`].
+    trace: Trace<M>,
+    /// An observer of finished records; it never affects the run.
+    sink: Option<Box<dyn TraceSink<M>>>,
     stats: Stats,
     arena: RoundArena<M>,
     /// The live channel model built from the config's spec.
@@ -605,26 +592,24 @@ pub struct Network<M> {
 }
 
 impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
-    /// A fresh network at round 0, observing rounds with the default
-    /// in-memory sink: [`NullSink`] under [`TraceRetention::None`],
-    /// [`InMemorySink`] with the config's retention otherwise.
+    /// A fresh network at round 0, retaining history per the config's
+    /// [`retention`](NetworkConfig::retention).
     pub fn new(cfg: NetworkConfig) -> Self {
-        let sink: Box<dyn TraceSink<M>> = match cfg.retention() {
-            TraceRetention::None => Box::new(NullSink::new()),
-            retention => Box::new(InMemorySink::new(retention)),
-        };
-        Network::with_sink(cfg, sink)
+        Network::assemble(cfg, None)
     }
 
-    /// A fresh network handing every finished round to `sink` instead of
-    /// the default in-memory trace. The config's
-    /// [`retention`](NetworkConfig::retention) is ignored — the sink
-    /// alone decides what is stored (and whether records are built at
-    /// all, via [`TraceSink::wants_records`]).
+    /// Like [`Network::new`], also showing every finished round to
+    /// `sink`. The retained history is the config's either way, so a
+    /// sink never changes the run.
     pub fn with_sink(cfg: NetworkConfig, sink: Box<dyn TraceSink<M>>) -> Self {
+        Network::assemble(cfg, Some(sink))
+    }
+
+    fn assemble(cfg: NetworkConfig, sink: Option<Box<dyn TraceSink<M>>>) -> Self {
         let arena = RoundArena::new(cfg.channels());
         let model = cfg.channel_model().build();
         Network {
+            trace: Trace::new(cfg.retention()),
             cfg,
             round: 0,
             sink,
@@ -657,42 +642,16 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         self.round
     }
 
-    /// The execution history retained by the sink (empty — but with an
-    /// exact completed-round count — for streaming/null sinks).
+    /// The execution history retained per the config's retention (empty
+    /// — but with an exact completed-round count — under
+    /// [`TraceRetention::None`]).
     pub fn trace(&self) -> &Trace<M> {
-        self.sink.history()
-    }
-
-    /// The sink observing this network's rounds.
-    pub fn sink(&self) -> &dyn TraceSink<M> {
-        self.sink.as_ref()
+        &self.trace
     }
 
     /// The accumulated statistics.
     pub fn stats(&self) -> &Stats {
         &self.stats
-    }
-
-    /// Swap the network's configuration mid-suite, keeping the warm
-    /// round arena, the installed sink, the round counter, and the
-    /// accumulated [`Stats`].
-    ///
-    /// Intended for experiment suites that re-point one long-lived network
-    /// at successive `(C, t)` operating points without paying arena
-    /// warm-up per point. The arena re-sizes its per-channel storage on
-    /// the next round; no span, listener, or slot from the previous
-    /// configuration survives (`tests` pin this). The *sink* is kept as
-    /// is — [`NetworkConfig::retention`] only selects a sink at
-    /// construction time, so reconfigure with a different retention has no
-    /// retroactive effect; install a new sink via [`Network::with_sink`]
-    /// construction if the retention policy itself must change.
-    pub fn reconfigure(&mut self, cfg: NetworkConfig) {
-        // Rebuild the model only when the spec changed, so re-pointing a
-        // long-lived network at successive (C, t) points stays cheap.
-        if self.cfg.channel_model() != cfg.channel_model() {
-            self.model = cfg.channel_model().build();
-        }
-        self.cfg = cfg;
     }
 
     /// Resolve one round given only the actions of **awake** nodes, as
@@ -746,7 +705,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
             "sparse actions must be sorted strictly ascending by node id"
         );
         let c = self.cfg.channels();
-        self.arena.begin(c);
+        self.arena.begin();
 
         // -- gather + validate honest actions in one pass ------------------
         // A validation failure may leave the arena partially filled: it is
@@ -819,7 +778,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
     /// The shared second half of round resolution: validate the adversary
     /// (touching its channels onto the worklist), sort the worklist into
     /// channel-major order, build transmitter + listener spans, resolve
-    /// outcome tags, accumulate stats, and hand the record to the sink —
+    /// outcome tags, accumulate stats, and build and retain the record —
     /// every per-channel step iterating the active worklist only.
     fn finish(
         &mut self,
@@ -1048,7 +1007,7 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
         }
 
         // -- trace (record arena, rebuilt in place, SoA) -------------------
-        if self.sink.wants_records() {
+        if self.trace.retention().keeps_records() || self.sink.is_some() {
             {
                 let diverges = self.model.diverges();
                 let model = self.model.as_ref();
@@ -1187,12 +1146,16 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> Network<M> {
                     }
                 }
             }
-            self.sink.record_mut(&mut self.arena.record);
-            // Lossy sinks (bounded channel, drop policy) discard records;
-            // mirror their counter so lossiness is visible in the stats.
-            self.stats.dropped_records = self.sink.dropped_records();
+            if let Some(sink) = &mut self.sink {
+                sink.record(&self.arena.record);
+                // Lossy sinks (bounded channel, drop policy) discard
+                // records; mirror their counter so lossiness is visible
+                // in the stats.
+                self.stats.dropped_records = sink.dropped_records();
+            }
+            self.trace.push_swap(&mut self.arena.record);
         } else {
-            self.sink.note_round();
+            self.trace.note_round();
         }
 
         self.round += 1;
@@ -1549,88 +1512,6 @@ mod tests {
             rec.listeners().collect::<Vec<_>>(),
             vec![(NodeId(1), ChannelId(2))]
         );
-    }
-
-    #[test]
-    fn arena_survives_reconfiguration_without_stale_state() {
-        // The `Scratch`-reuse regression test from the issue: growing (and
-        // shrinking) the channel count mid-suite must not leave stale
-        // spans, listener entries, or outcome slots in the arena.
-        let mut net: Network<u32> = Network::new(cfg()); // C = 3
-        let mut adv = AdversaryAction::idle();
-        adv.push(ChannelId(2), Emission::Spoof(9));
-        // Busy round: collisions on 0, spoof on 2, listeners everywhere.
-        resolve(
-            &mut net,
-            &[tx(0, 1), tx(0, 2), listen(1), listen(2)],
-            adv.clone(),
-        )
-        .unwrap();
-
-        // Grow to 5 channels (and more nodes than before).
-        net.reconfigure(NetworkConfig::new(5, 2).unwrap());
-        let actions: Vec<Action<u32>> = vec![
-            tx(4, 40),
-            listen(4),
-            listen(3),
-            Action::Sleep,
-            tx(0, 10),
-            tx(0, 11),
-            listen(0),
-        ];
-        let res = resolve(&mut net, &actions, AdversaryAction::idle()).unwrap();
-        assert_eq!(res.len(), 5);
-        assert_eq!(res[4].heard(), Some(40));
-        assert_eq!(res[3].heard(), None);
-        assert!(matches!(res[3], ChannelOutcome::Idle));
-        assert!(matches!(res[1], ChannelOutcome::Idle));
-        assert!(matches!(res[2], ChannelOutcome::Idle));
-        assert!(matches!(
-            res[0],
-            ChannelOutcome::Collision {
-                ref honest,
-                adversary: false
-            } if honest == &vec![NodeId(4), NodeId(5)]
-        ));
-        let rec = net.trace().last().unwrap().clone();
-        assert_eq!(rec.channels, 5);
-        assert_eq!(
-            record_delivered(&rec),
-            vec![None, None, None, None, Some(40)]
-        );
-        assert_eq!(
-            rec.listeners().collect::<Vec<_>>(),
-            vec![
-                (NodeId(1), ChannelId(4)),
-                (NodeId(2), ChannelId(3)),
-                (NodeId(6), ChannelId(0))
-            ]
-        );
-
-        // Shrink back to 2 channels: channel ids 2..5 must be gone.
-        net.reconfigure(NetworkConfig::new(2, 1).unwrap());
-        let res = resolve(&mut net, &[listen(1), tx(1, 5)], AdversaryAction::idle()).unwrap();
-        assert_eq!(res.len(), 2);
-        assert_eq!(res[1].heard(), Some(5));
-        assert!(matches!(res[0], ChannelOutcome::Idle));
-        let rec = net.trace().last().unwrap();
-        assert_eq!(record_delivered(rec), vec![None, Some(5)]);
-        assert_eq!(
-            rec.listeners().collect::<Vec<_>>(),
-            vec![(NodeId(0), ChannelId(1))]
-        );
-
-        // Round numbering and stats carried across both reconfigurations.
-        assert_eq!(net.round(), 3);
-        assert_eq!(net.stats().rounds, 3);
-        assert_eq!(net.trace().completed_rounds(), 3);
-
-        // And the whole run matches a fresh network driven through the
-        // same final configuration (no hidden arena state).
-        let mut fresh: Network<u32> = Network::new(NetworkConfig::new(2, 1).unwrap());
-        let fresh_res =
-            resolve(&mut fresh, &[listen(1), tx(1, 5)], AdversaryAction::idle()).unwrap();
-        assert_eq!(fresh_res, res);
     }
 
     #[test]

@@ -55,11 +55,13 @@
 //!   flow, collecting a [`Trace`] and [`Stats`]. Its per-round loop pops
 //!   a wake-queue and visits only the due nodes, feeding the sparse
 //!   engine entry point.
-//! * [`TraceSink`] (`sink`) — where finished [`RoundRecord`]s go:
-//!   retained in memory ([`InMemorySink`]), discarded ([`NullSink`]), or
-//!   streamed off the round loop to a line-delimited JSON file by a
-//!   background writer thread ([`ChannelSink`]; format in
-//!   `docs/TRACE_FORMAT.md`).
+//! * [`Trace`] (`trace`) — the execution history a [`Network`] retains
+//!   per [`NetworkConfig::with_retention`]: what the adversary observes
+//!   and tests read back. The config is the one place that decides it.
+//! * [`TraceSink`] (`sink`) — an optional observer of finished
+//!   [`RoundRecord`]s that never changes a run: [`ChannelSink`] streams
+//!   them off the round loop to a line-delimited JSON file through a
+//!   background writer thread (format in `docs/TRACE_FORMAT.md`).
 //! * `seed` — deterministic seed-stream derivation, the reproducibility
 //!   substrate every experiment relies on (not in the paper).
 //!
@@ -108,8 +110,7 @@ pub use error::EngineError;
 pub use node::{Action, ChannelId, NodeId, Protocol, Reception, NEVER};
 pub use simulation::{Inspector, Simulation, SimulationReport};
 pub use sink::{
-    json_escape, record_line, send_bounded, ChannelSink, InMemorySink, NullSink, OverflowPolicy,
-    SinkReport, TraceSink,
+    json_escape, record_line, send_bounded, ChannelSink, OverflowPolicy, SinkReport, TraceSink,
 };
 pub use stats::Stats;
 pub use trace::{RoundRecord, Trace, TraceRetention};

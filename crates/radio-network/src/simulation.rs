@@ -97,11 +97,9 @@ where
         Self::assemble(nodes, adversary, Network::new(cfg), seed)
     }
 
-    /// Like [`Simulation::new`], but the network hands every finished
-    /// round to `sink` instead of the default in-memory trace (see
-    /// [`Network::with_sink`]). Node seeding is identical, so for sinks
-    /// that retain the same history a run is bit-identical to
-    /// [`Simulation::new`]'s.
+    /// Like [`Simulation::new`], also showing every finished round to
+    /// `sink` (see [`Network::with_sink`]). The sink only observes, so the
+    /// run is bit-identical to [`Simulation::new`]'s.
     ///
     /// # Errors
     ///

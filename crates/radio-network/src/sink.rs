@@ -1,28 +1,26 @@
-//! Pluggable destinations for finished [`RoundRecord`]s.
+//! Observers of finished [`RoundRecord`]s.
 //!
-//! The engine used to push every record onto an in-memory `Vec`; under
-//! [`TraceRetention::All`] that retention dominated both the time and the
-//! memory of
-//! [`Network::resolve_round_sparse`](crate::Network::resolve_round_sparse)
-//! on long runs. A [`TraceSink`] decouples *observing* the network from
-//! *storing* the observation:
+//! The history a run keeps — what the §3 adversary mines and what tests
+//! read back — belongs to the network: [`NetworkConfig::with_retention`]
+//! alone decides it, and [`Network::trace`] exposes it. A [`TraceSink`]
+//! only *observes*: the engine hands it every finished record by
+//! reference and then retains (or drops) the record per the config, so
+//! attaching a sink never changes a run.
 //!
-//! * [`InMemorySink`] — the classic behavior: retain records in a
-//!   [`Trace`] per [`TraceRetention`] (what
-//!   [`Network::new`](crate::Network::new) installs by default);
-//! * [`NullSink`] — retain nothing, count rounds (the retention-off fast
-//!   path: the engine skips building records entirely);
-//! * [`ChannelSink`] — stream records through a bounded channel to a
-//!   background writer thread that emits one line of JSON per round (the
-//!   format specified in `docs/TRACE_FORMAT.md`), so serialization and
-//!   I/O never run on the round loop. On a full queue it either blocks
-//!   (lossless backpressure) or drops the newest record and counts it
-//!   ([`OverflowPolicy`]); the drop counter surfaces as
-//!   [`Stats::dropped_records`](crate::Stats::dropped_records).
+//! [`ChannelSink`] streams records through a bounded channel to a
+//! background writer thread that emits one line of JSON per round (the
+//! format specified in `docs/TRACE_FORMAT.md`), so serialization and I/O
+//! never run on the round loop. On a full queue it either blocks
+//! (lossless backpressure) or drops the newest record and counts it
+//! ([`OverflowPolicy`]); the drop counter surfaces as
+//! [`Stats::dropped_records`](crate::Stats::dropped_records).
 //!
-//! Sinks are installed with
-//! [`Network::with_sink`](crate::Network::with_sink) or
+//! Sinks are attached with [`Network::with_sink`] or
 //! [`Simulation::with_sink`](crate::Simulation::with_sink).
+//!
+//! [`NetworkConfig::with_retention`]: crate::NetworkConfig::with_retention
+//! [`Network::trace`]: crate::Network::trace
+//! [`Network::with_sink`]: crate::Network::with_sink
 
 use std::fmt;
 use std::fs::File;
@@ -32,31 +30,25 @@ use std::sync::mpsc::{self, SyncSender};
 use std::thread::{self, JoinHandle};
 
 use crate::adversary::Emission;
-use crate::trace::{RoundRecord, Trace, TraceRetention};
+use crate::trace::RoundRecord;
 
-/// A destination for finished [`RoundRecord`]s.
+/// An observer of finished [`RoundRecord`]s.
 ///
-/// [`Network::resolve_round_sparse`](crate::Network::resolve_round_sparse) hands each
-/// completed round to exactly one sink: the full record when
-/// [`TraceSink::wants_records`] is `true`, a bare
-/// [`TraceSink::note_round`] tick otherwise (in which case the engine
-/// never builds the record at all — the allocation-free fast path).
-///
-/// Every sink also exposes a [`Trace`] *history* so the adversary (which,
-/// per the model, learns all completed rounds) and post-run inspection
-/// keep working: [`InMemorySink`] retains records there, streaming/null
-/// sinks report an empty history with an exact completed-round count —
-/// the same contract as [`TraceRetention::None`] today.
+/// [`Network::resolve_round_sparse`](crate::Network::resolve_round_sparse)
+/// builds each round's record whenever a sink is attached, hands it to
+/// [`TraceSink::record`], and only then retains it in the network's own
+/// [`Trace`](crate::Trace) per the config's
+/// [`TraceRetention`](crate::TraceRetention). The sink sees every round
+/// whatever the retention, and what the adversary observes is the same
+/// with or without a sink.
 ///
 /// # Example
 ///
-/// Stream a short run to a line-delimited JSON trace and keep behavior
-/// otherwise identical to the in-memory default:
+/// Stream a short run to a line-delimited JSON trace; the run itself is
+/// the one [`Simulation::new`](crate::Simulation::new) would produce:
 ///
 /// ```rust
-/// use radio_network::{
-///     ChannelSink, NetworkConfig, OverflowPolicy, Simulation, TraceRetention,
-/// };
+/// use radio_network::{ChannelSink, NetworkConfig, OverflowPolicy, Simulation};
 /// use radio_network::adversaries::RandomJammer;
 /// use radio_network::testing::BeaconNode;
 ///
@@ -64,8 +56,7 @@ use crate::trace::{RoundRecord, Trace, TraceRetention};
 /// let path = std::env::temp_dir().join("trace-sink-doctest.jsonl");
 /// let cfg = NetworkConfig::new(3, 1)?;
 /// let nodes: Vec<BeaconNode> = (0..4).map(|i| BeaconNode::new(i, 3, 5)).collect();
-/// let sink = ChannelSink::create(&path, 64, OverflowPolicy::Block)?
-///     .with_history(TraceRetention::All);
+/// let sink = ChannelSink::create(&path, 64, OverflowPolicy::Block)?;
 /// let mut sim = Simulation::with_sink(cfg, nodes, RandomJammer::new(7), 9, Box::new(sink))?;
 /// let report = sim.run(100)?;
 /// assert_eq!(report.stats.dropped_records, 0);
@@ -77,40 +68,12 @@ use crate::trace::{RoundRecord, Trace, TraceRetention};
 /// # }
 /// ```
 pub trait TraceSink<M>: fmt::Debug + Send {
-    /// `true` if this sink wants full [`RoundRecord`]s. When `false` the
-    /// engine skips record construction and calls
-    /// [`TraceSink::note_round`] instead.
-    fn wants_records(&self) -> bool {
-        true
-    }
-
-    /// Accept the finished record of one round, by reference: the engine
+    /// Observe the finished record of one round, by reference: the engine
     /// builds it in a record arena reused across rounds, so a sink copies
-    /// only what it retains or streams ([`Trace::push_ref`] recycles
-    /// bounded-window storage; [`ChannelSink`] clones once to hand the
+    /// only what it streams ([`ChannelSink`] clones once to hand the
     /// record to its writer thread). Records arrive in round order,
     /// exactly one per resolved round.
     fn record(&mut self, record: &RoundRecord<M>);
-
-    /// Accept the finished record with permission to **swap**: `record`
-    /// is the engine's record arena, rebuilt from scratch next round, so
-    /// a sink retaining a bounded window may take the buffers wholesale
-    /// and hand equally warm evicted buffers back
-    /// ([`Trace::push_swap`]) — retaining a round then costs no element
-    /// copies at all. The default forwards to [`TraceSink::record`];
-    /// implementations overriding this must leave `record` holding *some*
-    /// valid buffers (contents are free to differ).
-    fn record_mut(&mut self, record: &mut RoundRecord<M>) {
-        self.record(record);
-    }
-
-    /// Count a completed round for which no record was built (only called
-    /// while [`TraceSink::wants_records`] is `false`).
-    fn note_round(&mut self);
-
-    /// The retained in-memory history. Sinks that keep nothing return an
-    /// empty trace whose completed-round count is still exact.
-    fn history(&self) -> &Trace<M>;
 
     /// Records this sink has discarded so far (lossy sinks only; the
     /// engine mirrors this into [`Stats`](crate::Stats) every round).
@@ -118,101 +81,6 @@ pub trait TraceSink<M>: fmt::Debug + Send {
         0
     }
 }
-
-/// The classic in-memory sink: retains records in a [`Trace`] according
-/// to a [`TraceRetention`] policy.
-///
-/// [`Network::new`](crate::Network::new) installs this sink (with the
-/// config's retention), so existing behavior is unchanged: adversaries
-/// mine the retained history, tests read it back, and
-/// [`TraceRetention::None`] keeps the record-free fast path.
-#[derive(Clone, Debug)]
-pub struct InMemorySink<M> {
-    trace: Trace<M>,
-}
-
-impl<M> InMemorySink<M> {
-    /// A sink retaining records per `retention`.
-    pub fn new(retention: TraceRetention) -> Self {
-        InMemorySink {
-            trace: Trace::new(retention),
-        }
-    }
-}
-
-impl<M> Default for InMemorySink<M> {
-    fn default() -> Self {
-        InMemorySink::new(TraceRetention::default())
-    }
-}
-
-impl<M: Clone + fmt::Debug + Send> TraceSink<M> for InMemorySink<M> {
-    fn wants_records(&self) -> bool {
-        self.trace.retention().keeps_records()
-    }
-
-    fn record(&mut self, record: &RoundRecord<M>) {
-        self.trace.push_ref(record);
-    }
-
-    // detlint: deny-alloc(start) in-memory sink steady-state paths
-    fn record_mut(&mut self, record: &mut RoundRecord<M>) {
-        self.trace.push_swap(record);
-    }
-
-    fn note_round(&mut self) {
-        self.trace.note_round();
-    }
-    // detlint: deny-alloc(end)
-
-    fn history(&self) -> &Trace<M> {
-        &self.trace
-    }
-}
-
-/// A sink that retains nothing: rounds are counted, records are never
-/// built. The fastest possible observer — use it for multi-trial sweeps
-/// where aggregate [`Stats`](crate::Stats) are the only product.
-#[derive(Clone, Debug)]
-pub struct NullSink<M> {
-    trace: Trace<M>,
-}
-
-impl<M> NullSink<M> {
-    /// A fresh null sink.
-    pub fn new() -> Self {
-        NullSink {
-            trace: Trace::new(TraceRetention::None),
-        }
-    }
-}
-
-impl<M> Default for NullSink<M> {
-    fn default() -> Self {
-        NullSink::new()
-    }
-}
-
-// detlint: deny-alloc(start) null sink (the record-free floor)
-impl<M: fmt::Debug + Send> TraceSink<M> for NullSink<M> {
-    fn wants_records(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _record: &RoundRecord<M>) {
-        // Only reachable through direct calls; count it like a tick.
-        self.trace.note_round();
-    }
-
-    fn note_round(&mut self) {
-        self.trace.note_round();
-    }
-
-    fn history(&self) -> &Trace<M> {
-        &self.trace
-    }
-}
-// detlint: deny-alloc(end)
 
 /// What [`ChannelSink`] does when the bounded queue to the writer thread
 /// is full.
@@ -279,18 +147,11 @@ enum SinkMsg<M> {
 /// happen on the writer thread. Closing the sink (drop or
 /// [`ChannelSink::finish`]) closes the channel, joins the writer, and
 /// flushes the output, so a dropped sink never loses buffered lines.
-///
-/// By default the sink keeps no in-memory history (adversaries that mine
-/// the trace see an empty one); [`ChannelSink::with_history`] additionally
-/// retains records like an [`InMemorySink`] — use it when the attacker or
-/// the caller must observe the same history the in-memory default would
-/// have kept.
 pub struct ChannelSink<M> {
     tx: Option<SyncSender<SinkMsg<M>>>,
     writer: Option<JoinHandle<io::Result<u64>>>,
     policy: OverflowPolicy,
     dropped: u64,
-    history: Trace<M>,
 }
 
 impl<M> fmt::Debug for ChannelSink<M> {
@@ -368,16 +229,7 @@ impl<M: Send + 'static> ChannelSink<M> {
             writer: Some(writer),
             policy,
             dropped: 0,
-            history: Trace::new(TraceRetention::None),
         }
-    }
-
-    /// Additionally retain records in memory per `retention`, exactly as
-    /// an [`InMemorySink`] would (records are cloned before streaming).
-    #[must_use]
-    pub fn with_history(mut self, retention: TraceRetention) -> Self {
-        self.history = Trace::new(retention);
-        self
     }
 
     /// Write `line` verbatim as the file's first line, ahead of every
@@ -442,12 +294,12 @@ impl<M> Drop for ChannelSink<M> {
     }
 }
 
-impl<M: Clone + fmt::Debug + Send + 'static> ChannelSink<M> {
+impl<M: Clone + fmt::Debug + Send + 'static> TraceSink<M> for ChannelSink<M> {
     /// Hand one record to the writer thread, honoring the overflow
     /// policy. The writer owns its copy; the one clone of the arena
     /// record happens here, off the engine's zero-allocation path only
     /// when streaming is actually on.
-    fn send(&mut self, record: &RoundRecord<M>) {
+    fn record(&mut self, record: &RoundRecord<M>) {
         let Some(tx) = &self.tx else {
             self.dropped += 1;
             return;
@@ -456,36 +308,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> ChannelSink<M> {
         if !send_bounded(tx, SinkMsg::Record(Box::new(record.clone())), self.policy) {
             self.dropped += 1;
         }
-    }
-}
-
-impl<M: Clone + fmt::Debug + Send + 'static> TraceSink<M> for ChannelSink<M> {
-    fn record(&mut self, record: &RoundRecord<M>) {
-        if self.history.retention().keeps_records() {
-            self.history.push_ref(record);
-        } else {
-            self.history.note_round();
-        }
-        self.send(record);
-    }
-
-    fn record_mut(&mut self, record: &mut RoundRecord<M>) {
-        // Send first (needs the contents), then let the history take the
-        // buffers by swap.
-        self.send(record);
-        if self.history.retention().keeps_records() {
-            self.history.push_swap(record);
-        } else {
-            self.history.note_round();
-        }
-    }
-
-    fn note_round(&mut self) {
-        self.history.note_round();
-    }
-
-    fn history(&self) -> &Trace<M> {
-        &self.history
     }
 
     fn dropped_records(&self) -> u64 {
@@ -663,31 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn in_memory_sink_keeps_retention_semantics() {
-        let mut sink: InMemorySink<u32> = InMemorySink::new(TraceRetention::LastRounds(2));
-        assert!(sink.wants_records());
-        for r in 0..5 {
-            sink.record(&record(r));
-        }
-        assert_eq!(sink.history().completed_rounds(), 5);
-        assert_eq!(sink.history().len(), 2);
-        assert_eq!(sink.dropped_records(), 0);
-
-        let lean: InMemorySink<u32> = InMemorySink::new(TraceRetention::None);
-        assert!(!lean.wants_records());
-    }
-
-    #[test]
-    fn null_sink_counts_rounds_only() {
-        let mut sink: NullSink<u32> = NullSink::new();
-        assert!(!sink.wants_records());
-        sink.note_round();
-        sink.note_round();
-        assert_eq!(sink.history().completed_rounds(), 2);
-        assert!(sink.history().is_empty());
-    }
-
-    #[test]
     fn channel_sink_streams_every_record_in_order() {
         let path = std::env::temp_dir().join(format!("sink-order-{}.jsonl", std::process::id()));
         let mut sink: ChannelSink<u32> =
@@ -695,8 +492,6 @@ mod tests {
         for r in 0..50 {
             sink.record(&record(r));
         }
-        assert_eq!(sink.history().completed_rounds(), 50);
-        assert!(sink.history().is_empty(), "no history by default");
         let report = sink.finish().unwrap();
         assert_eq!(report.written, 50);
         assert_eq!(report.dropped, 0);
@@ -706,17 +501,5 @@ mod tests {
         }
         assert_eq!(contents.lines().count(), 50);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn channel_sink_history_retains_records() {
-        let mut sink: ChannelSink<u32> =
-            ChannelSink::to_writer(io::sink(), 4, OverflowPolicy::Block)
-                .with_history(TraceRetention::All);
-        for r in 0..10 {
-            sink.record(&record(r));
-        }
-        assert_eq!(sink.history().len(), 10);
-        assert_eq!(sink.history().round(7).unwrap().round, 7);
     }
 }

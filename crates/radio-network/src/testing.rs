@@ -24,9 +24,9 @@ use crate::channel_model::{
 use crate::engine::{NetworkConfig, OutcomeView};
 use crate::error::EngineError;
 use crate::node::{Action, ChannelId, NodeId, Protocol, Reception};
-use crate::sink::{InMemorySink, NullSink, TraceSink};
+use crate::sink::TraceSink;
 use crate::stats::Stats;
-use crate::trace::{RoundRecord, Trace, TraceRetention};
+use crate::trace::{RoundRecord, Trace};
 
 #[cfg(doc)]
 use crate::engine::Network;
@@ -112,12 +112,12 @@ impl<M: Clone> From<OutcomeView<'_, M>> for ChannelOutcome<M> {
 /// [`Network`] against.
 ///
 /// It shares no resolution code with the engine — only the public data
-/// types, the configured [`ChannelModel`], and the [`TraceSink`] it hands
-/// records to — and reproduces the engine's observable behaviour exactly:
-/// the same [`ChannelOutcome`]s, the same [`Stats`], the same
-/// [`RoundRecord`]s (diverging receptions included), and the same
-/// [`EngineError`]s, checked in the same order. Every round allocates;
-/// keep it off hot paths.
+/// types, the configured [`ChannelModel`], the [`Trace`] it retains, and
+/// the optional [`TraceSink`] it shows records to — and reproduces the
+/// engine's observable behaviour exactly: the same [`ChannelOutcome`]s,
+/// the same [`Stats`], the same [`RoundRecord`]s (diverging receptions
+/// included), and the same [`EngineError`]s, checked in the same order.
+/// Every round allocates; keep it off hot paths.
 #[derive(Debug)]
 pub struct ReferenceNetwork<M> {
     cfg: NetworkConfig,
@@ -125,28 +125,29 @@ pub struct ReferenceNetwork<M> {
     model_seed: u64,
     round: u64,
     stats: Stats,
-    sink: Box<dyn TraceSink<M>>,
+    trace: Trace<M>,
+    sink: Option<Box<dyn TraceSink<M>>>,
     /// What each listener of the last resolved round received.
     receptions: Vec<(NodeId, Option<M>)>,
 }
 
 impl<M: Clone + std::fmt::Debug + Send + 'static> ReferenceNetwork<M> {
-    /// A fresh oracle at round 0 with the same default sink
-    /// [`Network::new`] installs: [`NullSink`] under
-    /// [`TraceRetention::None`], [`InMemorySink`] otherwise.
+    /// A fresh oracle at round 0, retaining history per the config's
+    /// retention, as [`Network::new`] does.
     pub fn new(cfg: NetworkConfig) -> Self {
-        let sink: Box<dyn TraceSink<M>> = match cfg.retention() {
-            TraceRetention::None => Box::new(NullSink::new()),
-            retention => Box::new(InMemorySink::new(retention)),
-        };
-        ReferenceNetwork::with_sink(cfg, sink)
+        ReferenceNetwork::assemble(cfg, None)
     }
 
-    /// A fresh oracle handing every finished round to `sink` (the
-    /// config's retention is ignored, as in [`Network::with_sink`]).
+    /// Like [`ReferenceNetwork::new`], also showing every finished round
+    /// to `sink`, as [`Network::with_sink`] does.
     pub fn with_sink(cfg: NetworkConfig, sink: Box<dyn TraceSink<M>>) -> Self {
+        ReferenceNetwork::assemble(cfg, Some(sink))
+    }
+
+    fn assemble(cfg: NetworkConfig, sink: Option<Box<dyn TraceSink<M>>>) -> Self {
         let model = cfg.channel_model().build();
         ReferenceNetwork {
+            trace: Trace::new(cfg.retention()),
             cfg,
             model,
             model_seed: 0,
@@ -168,9 +169,9 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ReferenceNetwork<M> {
         self.round
     }
 
-    /// The execution history retained by the sink.
+    /// The execution history retained per the config's retention.
     pub fn trace(&self) -> &Trace<M> {
-        self.sink.history()
+        &self.trace
     }
 
     /// The accumulated statistics.
@@ -374,8 +375,8 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ReferenceNetwork<M> {
             }
         }
 
-        // The record, handed to the sink.
-        if self.sink.wants_records() {
+        // The record, shown to the sink and then retained.
+        if self.trace.retention().keeps_records() || self.sink.is_some() {
             let transmissions = transmitters
                 .iter()
                 .enumerate()
@@ -395,10 +396,13 @@ impl<M: Clone + std::fmt::Debug + Send + 'static> ReferenceNetwork<M> {
                 record.reception_nodes.push(node);
                 record.reception_frames.push(heard);
             }
-            self.sink.record(&record);
-            self.stats.dropped_records = self.sink.dropped_records();
+            if let Some(sink) = &mut self.sink {
+                sink.record(&record);
+                self.stats.dropped_records = sink.dropped_records();
+            }
+            self.trace.push(record);
         } else {
-            self.sink.note_round();
+            self.trace.note_round();
         }
 
         self.round += 1;

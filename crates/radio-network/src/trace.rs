@@ -340,9 +340,7 @@ impl<M> Trace<M> {
 
     /// Append the record of the next round, applying the retention
     /// policy. Records must arrive in round order (starting at the
-    /// current [`Trace::completed_rounds`]); custom
-    /// [`TraceSink`](crate::TraceSink) implementations use this to
-    /// maintain their retained history.
+    /// current [`Trace::completed_rounds`]).
     pub fn push(&mut self, record: RoundRecord<M>) {
         debug_assert_eq!(record.round, self.completed_rounds, "trace out of order");
         self.completed_rounds += 1;
@@ -360,8 +358,7 @@ impl<M> Trace<M> {
 
     /// Append the record of the next round *by reference*, applying the
     /// retention policy — the arena-friendly sibling of [`Trace::push`]
-    /// for sinks that receive `&RoundRecord` from the engine's record
-    /// arena.
+    /// for a caller holding only a `&RoundRecord`.
     ///
     /// Under [`TraceRetention::LastRounds`] at capacity, the oldest
     /// retained record is **recycled**: popped, overwritten in place via

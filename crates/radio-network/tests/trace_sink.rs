@@ -1,7 +1,7 @@
-//! Integration tests for the [`TraceSink`] pipeline: bounded-queue
+//! Integration tests for the [`ChannelSink`] pipeline: bounded-queue
 //! backpressure, drop-policy accounting, flush-on-drop, and the central
-//! determinism property — streaming a trace off the round loop must not
-//! change the execution.
+//! determinism property — attaching a sink must not change the
+//! execution, whatever the configured retention.
 
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use radio_network::adversaries::BusyChannelJammer;
 use radio_network::testing::BeaconNode;
 use radio_network::{
-    record_line, ChannelSink, InMemorySink, NetworkConfig, OverflowPolicy, RoundRecord, Simulation,
+    record_line, ChannelSink, NetworkConfig, OverflowPolicy, RoundRecord, Simulation, Stats,
     TraceRetention, TraceSink,
 };
 
@@ -133,7 +133,6 @@ fn drop_policy_counts_exactly_the_overflow() {
         sink.record(&record(r));
     }
     assert_eq!(sink.dropped_records(), 7);
-    assert_eq!(sink.history().completed_rounds(), 10);
 
     let (lock, cvar) = &*gate;
     *lock.lock().unwrap() = true;
@@ -209,51 +208,69 @@ fn simulation_drop_flushes_streamed_trace() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Run the beacon/busy-jammer stack with the given sink; return what the
-/// sink retained in memory, rendered through the shared encoder.
-fn run_stack(seed: u64, sink: Box<dyn TraceSink<u64>>) -> (u64, Vec<String>) {
-    let cfg = NetworkConfig::new(4, 2).unwrap();
+/// Run the beacon/busy-jammer stack under `retention`, with `sink`
+/// attached if given; return the round count, the final stats, and what
+/// the network retained, rendered through the shared encoder.
+fn run_stack(
+    seed: u64,
+    retention: TraceRetention,
+    sink: Option<Box<dyn TraceSink<u64>>>,
+) -> (u64, Stats, Vec<String>) {
+    let cfg = NetworkConfig::new(4, 2).unwrap().with_retention(retention);
     let nodes: Vec<BeaconNode> = (0..8).map(|i| BeaconNode::new(i, 4, 30)).collect();
-    // A history-mining adversary: any divergence in what the sink exposes
-    // as history changes its jamming choices, and with them the trace.
+    // A history-mining adversary: any divergence in the history it
+    // observes changes its jamming choices, and with them the trace.
     let adversary = BusyChannelJammer::new(seed ^ 0xAD, 16);
-    let mut sim = Simulation::with_sink(cfg, nodes, adversary, seed, sink).unwrap();
-    let rounds = sim.run(1_000).unwrap().rounds;
+    let mut sim = match sink {
+        Some(sink) => Simulation::with_sink(cfg, nodes, adversary, seed, sink),
+        None => Simulation::new(cfg, nodes, adversary, seed),
+    }
+    .unwrap();
+    let report = sim.run(1_000).unwrap();
     let lines = sim
         .trace()
         .records()
         .map(|r| record_line(r, |m| format!("{m:?}")))
         .collect();
-    (rounds, lines)
+    (report.rounds, report.stats, lines)
+}
+
+fn retention() -> impl Strategy<Value = TraceRetention> {
+    prop_oneof![
+        Just(TraceRetention::All),
+        Just(TraceRetention::LastRounds(8)),
+        Just(TraceRetention::None),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The tentpole property: for any seed, streaming records through a
-    /// bounded channel to a background writer (ChannelSink) yields the
-    /// exact same record sequence as the classic in-memory trace — no
-    /// behavioral drift from moving tracing off-thread.
+    /// The tentpole property: for any seed and any retention, streaming
+    /// records through a bounded channel to a background writer
+    /// (ChannelSink) leaves the run exactly as `Simulation::new` makes
+    /// it — same rounds, stats, and retained history — and the file holds
+    /// one line per round.
     #[test]
-    fn channel_sink_matches_in_memory_sink(seed in any::<u64>()) {
+    fn channel_sink_matches_in_memory_sink(seed in any::<u64>(), retention in retention()) {
         let path = tmp_path(&format!("prop-{seed:x}"));
-        let (mem_rounds, mem_lines) =
-            run_stack(seed, Box::new(InMemorySink::new(TraceRetention::All)));
-        let sink = ChannelSink::create(&path, 4, OverflowPolicy::Block)
-            .unwrap()
-            .with_history(TraceRetention::All);
-        let (ch_rounds, ch_lines) = run_stack(seed, Box::new(sink));
+        let (mem_rounds, mem_stats, mem_lines) = run_stack(seed, retention, None);
+        let sink = ChannelSink::create(&path, 4, OverflowPolicy::Block).unwrap();
+        let (ch_rounds, ch_stats, ch_lines) = run_stack(seed, retention, Some(Box::new(sink)));
 
         prop_assert_eq!(mem_rounds, ch_rounds);
+        prop_assert_eq!(mem_stats, ch_stats);
         prop_assert_eq!(&mem_lines, &ch_lines);
 
-        // And the streamed file holds exactly the same lines, in order.
+        // The streamed file holds every round in order; what the network
+        // retained is its tail.
         let file_lines: Vec<String> = std::fs::read_to_string(&path)
             .unwrap()
             .lines()
             .map(str::to_owned)
             .collect();
         std::fs::remove_file(&path).ok();
-        prop_assert_eq!(&mem_lines, &file_lines);
+        prop_assert_eq!(file_lines.len() as u64, mem_rounds);
+        prop_assert_eq!(&mem_lines[..], &file_lines[file_lines.len() - mem_lines.len()..]);
     }
 }

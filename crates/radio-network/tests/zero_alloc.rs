@@ -2,11 +2,10 @@
 //! after warm-up, **a steady-state round performs zero heap
 //! allocations** —
 //!
-//! * with trace retention off (`Network::new` under
-//!   `TraceRetention::None`),
-//! * with an explicit [`NullSink`],
+//! * with trace retention off and no sink (`Network::new` under
+//!   `TraceRetention::None`: no record is built at all),
 //! * with a *bounded in-memory window* (`LastRounds(k)`), where the
-//!   record arena plus [`Trace::push_ref`]'s recycling keep even the
+//!   record arena plus [`Trace::push_swap`]'s recycling keep even the
 //!   retention-on loop allocation-free for inline frames,
 //! * through the full [`Simulation`] driver (reused action buffer,
 //!   borrowed receptions),
@@ -24,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use radio_network::adversaries::NoAdversary;
 use radio_network::testing::to_sparse;
 use radio_network::{
-    Action, AdversaryAction, ChannelId, ChannelModelSpec, Network, NetworkConfig, NodeId, NullSink,
-    Protocol, Reception, Simulation, TraceRetention,
+    Action, AdversaryAction, ChannelId, ChannelModelSpec, Network, NetworkConfig, NodeId, Protocol,
+    Reception, Simulation, TraceRetention,
 };
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -269,7 +268,8 @@ fn steady_state_round_loop_allocates_nothing() {
         .map(|r| AdversaryAction::jam([ChannelId(r % CHANNELS), ChannelId((r + 3) % CHANNELS)]))
         .collect();
 
-    // 1. Retention off (Network::new installs a NullSink).
+    // 1. Retention off and no sink: the record-free path, where a round
+    //    only counts itself in the trace.
     let cfg_off = NetworkConfig::new(CHANNELS, 2)
         .unwrap()
         .with_retention(TraceRetention::None);
@@ -279,17 +279,11 @@ fn steady_state_round_loop_allocates_nothing() {
         drive(&mut net, &schedule, &adversaries, MEASURED);
     });
     assert_eq!(net.stats().rounds as usize, WARMUP + MEASURED);
+    assert_eq!(net.trace().completed_rounds() as usize, WARMUP + MEASURED);
+    assert!(net.trace().is_empty());
 
-    // 2. Explicit NullSink.
-    let cfg = NetworkConfig::new(CHANNELS, 2).unwrap();
-    let mut net: Network<u64> = Network::with_sink(cfg, Box::new(NullSink::new()));
-    drive(&mut net, &schedule, &adversaries, WARMUP);
-    assert_zero_alloc("NullSink", || {
-        drive(&mut net, &schedule, &adversaries, MEASURED);
-    });
-
-    // 3. Bounded in-memory retention: the record arena plus
-    //    Trace::push_ref's window recycling keep even the retention-on
+    // 2. Bounded in-memory retention: the record arena plus
+    //    Trace::push_swap's window recycling keep even the retention-on
     //    loop off the allocator once the window has filled and every
     //    recycled record's vectors have seen the schedule's maxima.
     let cfg_last = NetworkConfig::new(CHANNELS, 2)
@@ -302,7 +296,7 @@ fn steady_state_round_loop_allocates_nothing() {
     });
     assert_eq!(net.trace().len(), 64);
 
-    // 4. The full Simulation driver: reused action buffer, borrowed
+    // 3. The full Simulation driver: reused action buffer, borrowed
     //    receptions, idle adversary (a jamming Adversary impl returns an
     //    owned action per round, which is the attacker's allocation, not
     //    the driver's).
@@ -328,7 +322,7 @@ fn steady_state_round_loop_allocates_nothing() {
     let heard: u64 = sim.nodes().iter().map(|n| n.frames_heard).sum();
     assert!(heard > 0, "the lean protocol must actually communicate");
 
-    // 5. The sparse path at large n: 100 000 nodes of which 8 are awake.
+    // 4. The sparse path at large n: 100 000 nodes of which 8 are awake.
     //    Round 0 visits everyone (heap + action buffer reach their
     //    high-water marks) and drains the 99 992 never-waking sleepers
     //    from the queue; from then on each round touches only the awake
@@ -361,7 +355,7 @@ fn steady_state_round_loop_allocates_nothing() {
         "the awake minority must actually communicate"
     );
 
-    // 6. A diverging channel model (Lossy at 25% drop): per-listener
+    // 5. A diverging channel model (Lossy at 25% drop): per-listener
     //    outcomes are pure derive() draws with no sequential state, and
     //    the record arena's reception vectors recycle like every other
     //    column, so the model layer adds nothing to the steady-state

@@ -22,8 +22,7 @@ use std::sync::{Arc, Mutex};
 use radio_network::seed;
 use radio_network::testing::ReferenceNetwork;
 use radio_network::{
-    Action, Adversary, AdversaryView, NetworkConfig, Protocol, Reception, RoundRecord, Trace,
-    TraceRetention, TraceSink,
+    Action, Adversary, AdversaryView, NetworkConfig, Protocol, Reception, RoundRecord, TraceSink,
 };
 
 pub use radio_network::record_line;
@@ -54,24 +53,21 @@ pub type SharedLines = Arc<Mutex<Vec<String>>>;
 /// A [`TraceSink`] that re-encodes every round through [`record_line`]
 /// (with the default `Debug` frame rendering, matching
 /// [`radio_network::ChannelSink::create`]) into a shared in-memory line
-/// list, while also retaining history under the given
-/// [`TraceRetention`] so history-mining adversaries still see the same
-/// view they saw in the original run.
+/// list. History-mining adversaries see the history the network config
+/// retains, exactly as in the original run.
 #[derive(Debug)]
-pub struct CollectorSink<M> {
+pub struct CollectorSink {
     lines: SharedLines,
-    history: Trace<M>,
 }
 
-impl<M> CollectorSink<M> {
-    /// A collector retaining history under `retention`; the returned
-    /// handle reads the captured lines after the run.
-    pub fn new(retention: TraceRetention) -> (Self, SharedLines) {
+impl CollectorSink {
+    /// A collector; the returned handle reads the captured lines after
+    /// the run.
+    pub fn new() -> (Self, SharedLines) {
         let lines: SharedLines = Arc::default();
         (
             CollectorSink {
                 lines: Arc::clone(&lines),
-                history: Trace::new(retention),
             },
             lines,
         )
@@ -87,33 +83,12 @@ pub fn collected_lines(lines: &SharedLines) -> Vec<String> {
         .clone()
 }
 
-impl<M: Clone + fmt::Debug + Send> TraceSink<M> for CollectorSink<M> {
-    fn wants_records(&self) -> bool {
-        true
-    }
-
+impl<M: fmt::Debug> TraceSink<M> for CollectorSink {
     fn record(&mut self, record: &RoundRecord<M>) {
         self.lines
             .lock()
             .expect("collector line buffer poisoned")
             .push(record_line(record, |f| format!("{f:?}")));
-        self.history.push_ref(record);
-    }
-
-    fn record_mut(&mut self, record: &mut RoundRecord<M>) {
-        self.lines
-            .lock()
-            .expect("collector line buffer poisoned")
-            .push(record_line(record, |f| format!("{f:?}")));
-        self.history.push_swap(record);
-    }
-
-    fn note_round(&mut self) {
-        self.history.note_round();
-    }
-
-    fn history(&self) -> &Trace<M> {
-        &self.history
     }
 }
 
@@ -193,7 +168,7 @@ mod tests {
     use super::*;
     use radio_network::adversaries::RandomJammer;
     use radio_network::testing::BeaconNode;
-    use radio_network::Simulation;
+    use radio_network::{Simulation, TraceRetention};
 
     fn beacons(n: usize, channels: usize) -> Vec<BeaconNode> {
         (0..n).map(|i| BeaconNode::new(i, channels, 20)).collect()
@@ -205,7 +180,7 @@ mod tests {
             .expect("valid config")
             .with_retention(TraceRetention::LastRounds(4));
 
-        let (sink, sparse_lines) = CollectorSink::new(TraceRetention::LastRounds(4));
+        let (sink, sparse_lines) = CollectorSink::new();
         let mut sim = Simulation::with_sink(
             cfg.clone(),
             beacons(5, 3),
@@ -219,7 +194,7 @@ mod tests {
         }
         drop(sim);
 
-        let (sink, dense_lines) = CollectorSink::new(TraceRetention::LastRounds(4));
+        let (sink, dense_lines) = CollectorSink::new();
         run_dense(
             cfg,
             beacons(5, 3),

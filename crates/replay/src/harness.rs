@@ -9,13 +9,11 @@
 //! a healthy trace bit-identically and exposes the first divergent
 //! round of a corrupted one.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 
-use fame::longlived::LongLivedNode;
 use fame::longlived::{
-    run_longlived_streaming, LongLivedSession, ScriptEntry, LONGLIVED_TRACE_WINDOW,
+    run_longlived_streaming, session_nodes, LongLivedSession, ScriptEntry, LONGLIVED_TRACE_WINDOW,
 };
 use fame::protocol::{make_nodes, run_fame_streaming, FAME_TRACE_WINDOW};
 use fame::Params;
@@ -178,7 +176,6 @@ fn reject_unknown_fields(v: &Json, allowed: &[&str], context: &str) -> Result<()
 /// `rounds` rounds and return the re-encoded lines.
 fn drive<P>(
     cfg: NetworkConfig,
-    retention: TraceRetention,
     nodes: Vec<P>,
     scripted: ScriptedAdversary<P::Msg>,
     seed: u64,
@@ -189,7 +186,7 @@ where
     P: Protocol,
     P::Msg: fmt::Debug + Send + 'static,
 {
-    let (sink, lines) = CollectorSink::new(retention);
+    let (sink, lines) = CollectorSink::new();
     match mode {
         EngineMode::Dense => {
             run_dense(cfg, nodes, scripted, seed, rounds, Box::new(sink))?;
@@ -223,12 +220,11 @@ impl CorpusScenario {
                     .map_err(|e| format!("assemble f-AME nodes: {e}"))?;
                 let scripted =
                     ScriptedAdversary::from_records(&trace.records, rounds, decode_fame_frame)?;
-                let retention = TraceRetention::LastRounds(FAME_TRACE_WINDOW);
                 let cfg = NetworkConfig::new(params.c(), params.t())
                     .map_err(|e| format!("network config: {e}"))?
-                    .with_retention(retention)
+                    .with_retention(TraceRetention::LastRounds(FAME_TRACE_WINDOW))
                     .with_channel_model(spec.channel_model.clone());
-                drive(cfg, retention, nodes, scripted, seed, rounds, mode)
+                drive(cfg, nodes, scripted, seed, rounds, mode)
             }
             CorpusScenario::LongLived {
                 n,
@@ -249,17 +245,7 @@ impl CorpusScenario {
                         return Err(format!("scripted sender {} has no group key", entry.sender));
                     }
                 }
-                let emulated_rounds = script.iter().map(|e| e.eround + 1).max().unwrap_or(0);
-                let nodes: Vec<LongLivedNode> = (0..*n)
-                    .map(|id| {
-                        let my_script = script
-                            .iter()
-                            .filter(|e| e.sender == id)
-                            .map(|e| (e.eround, e.message.clone()))
-                            .collect();
-                        LongLivedNode::new(id, params.clone(), keys[id], my_script, emulated_rounds)
-                    })
-                    .collect();
+                let (nodes, _) = session_nodes(&params, &keys, script, &[], 0);
                 let scripted: ScriptedAdversary<SealedBox> =
                     ScriptedAdversary::from_records(&trace.records, rounds, |s| {
                         Err(format!(
@@ -267,48 +253,16 @@ impl CorpusScenario {
                              SealedBox from \"{s}\""
                         ))
                     })?;
-                let retention = TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW);
                 let cfg = NetworkConfig::new(params.c(), params.t())
                     .map_err(|e| format!("network config: {e}"))?
-                    .with_retention(retention);
-                drive(cfg, retention, nodes, scripted, *seed, rounds, mode)
+                    .with_retention(TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW));
+                drive(cfg, nodes, scripted, *seed, rounds, mode)
             }
             CorpusScenario::Gateway { .. } => {
                 let (service, params, session) = gateway_config(self)?;
                 let (script, rekeys) = session_plan(&service, session);
                 let keys = session_keys(&service, session);
-                // Node assembly mirrors `LongLivedSession::open` exactly:
-                // the session lasts max(horizon, last scripted eround + 1)
-                // emulated rounds and only keyed nodes carry the rekey
-                // schedule.
-                let emulated_rounds = script
-                    .iter()
-                    .map(|e| e.eround + 1)
-                    .max()
-                    .unwrap_or(0)
-                    .max(service.horizon);
-                let rekey_map: BTreeMap<u64, SymmetricKey> = rekeys.into_iter().collect();
-                let nodes: Vec<LongLivedNode> = (0..service.n)
-                    .map(|id| {
-                        let my_script = script
-                            .iter()
-                            .filter(|e| e.sender == id)
-                            .map(|e| (e.eround, e.message.clone()))
-                            .collect();
-                        let node = LongLivedNode::new(
-                            id,
-                            params.clone(),
-                            keys[id],
-                            my_script,
-                            emulated_rounds,
-                        );
-                        if keys[id].is_some() {
-                            node.with_rekeys(rekey_map.clone())
-                        } else {
-                            node
-                        }
-                    })
-                    .collect();
+                let (nodes, _) = session_nodes(&params, &keys, &script, &rekeys, service.horizon);
                 let scripted: ScriptedAdversary<SealedBox> =
                     ScriptedAdversary::from_records(&trace.records, rounds, |s| {
                         Err(format!(
@@ -316,13 +270,11 @@ impl CorpusScenario {
                              SealedBox from \"{s}\""
                         ))
                     })?;
-                let retention = TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW);
                 let cfg = NetworkConfig::new(params.c(), params.t())
                     .map_err(|e| format!("network config: {e}"))?
-                    .with_retention(retention);
+                    .with_retention(TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW));
                 drive(
                     cfg,
-                    retention,
                     nodes,
                     scripted,
                     session_engine_seed(&service, session),
@@ -348,8 +300,7 @@ impl CorpusScenario {
                 let adversary = spec.adversary.build(&params, instance.pairs(), seed);
                 let mut sink =
                     ChannelSink::create(path, TRACE_QUEUE_CAPACITY, OverflowPolicy::Block)
-                        .map_err(|e| format!("create {}: {e}", path.display()))?
-                        .with_history(TraceRetention::LastRounds(FAME_TRACE_WINDOW));
+                        .map_err(|e| format!("create {}: {e}", path.display()))?;
                 if !spec.channel_model.is_ideal() {
                     sink = sink.with_header(spec.channel_model.header_line());
                 }
@@ -373,8 +324,7 @@ impl CorpusScenario {
                     .collect();
                 let adversary = noise_adversary::<SealedBox>(adversary, *seed)?;
                 let sink = ChannelSink::create(path, TRACE_QUEUE_CAPACITY, OverflowPolicy::Block)
-                    .map_err(|e| format!("create {}: {e}", path.display()))?
-                    .with_history(TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW));
+                    .map_err(|e| format!("create {}: {e}", path.display()))?;
                 run_longlived_streaming(&params, &keys, script, adversary, *seed, Box::new(sink))
                     .map_err(|e| format!("record long-lived run: {e}"))?;
                 Ok(())
@@ -384,8 +334,7 @@ impl CorpusScenario {
                 let (script, rekeys) = session_plan(&service, session);
                 let keys = session_keys(&service, session);
                 let sink = ChannelSink::create(path, TRACE_QUEUE_CAPACITY, OverflowPolicy::Block)
-                    .map_err(|e| format!("create {}: {e}", path.display()))?
-                    .with_history(TraceRetention::LastRounds(LONGLIVED_TRACE_WINDOW));
+                    .map_err(|e| format!("create {}: {e}", path.display()))?;
                 let mut live = LongLivedSession::open(
                     &params,
                     &keys,

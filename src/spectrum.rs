@@ -18,9 +18,7 @@ use std::path::Path;
 use crate::fame::adversaries::{FeedbackPolicy, OmniscientJammer, TransmissionPolicy};
 use crate::fame::protocol::{make_nodes, round_budget};
 use crate::fame::{AmeInstance, FameFrame, Params};
-use crate::net::{
-    ChannelSink, NetworkConfig, OverflowPolicy, RoundRecord, Simulation, Stats, TraceRetention,
-};
+use crate::net::{ChannelSink, NetworkConfig, OverflowPolicy, RoundRecord, Simulation, Stats};
 
 /// Seed for node randomness and the engine (also reseeds the replay).
 pub const SPECTRUM_SEED: u64 = 7;
@@ -66,8 +64,7 @@ pub fn run_spectrum_demo(
 
     let nodes = make_nodes(&instance, &params, SPECTRUM_SEED)?;
     let cfg = NetworkConfig::new(params.c(), params.t())?;
-    let sink = ChannelSink::create(trace_path, SPECTRUM_QUEUE, OverflowPolicy::Block)?
-        .with_history(TraceRetention::All);
+    let sink = ChannelSink::create(trace_path, SPECTRUM_QUEUE, OverflowPolicy::Block)?;
     let mut sim = Simulation::with_sink(cfg, nodes, adversary, SPECTRUM_SEED, Box::new(sink))?;
 
     let budget = round_budget(&params, instance.len());

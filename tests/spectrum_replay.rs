@@ -9,7 +9,7 @@ use replay::{
     compare, decode_fame_frame, run_dense, CollectorSink, GapPolicy, ScriptedAdversary, TraceFile,
 };
 use secure_radio::fame::protocol::make_nodes;
-use secure_radio::net::{NetworkConfig, TraceRetention};
+use secure_radio::net::NetworkConfig;
 use secure_radio::spectrum::{run_spectrum_demo, spectrum_instance, SPECTRUM_SEED};
 
 #[test]
@@ -35,7 +35,7 @@ fn spectrum_demo_output_replays_byte_identically() {
         ScriptedAdversary::from_records(&trace.records, trace.total_rounds(), decode_fame_frame)
             .expect("schedule parses (incl. spoofed Vector frames)");
 
-    let (sink, lines) = CollectorSink::new(TraceRetention::All);
+    let (sink, lines) = CollectorSink::new();
     run_dense(cfg, nodes, scripted, SPECTRUM_SEED, rounds, Box::new(sink)).expect("replay runs");
 
     let report = compare(&trace, &collected_lines(&lines));
