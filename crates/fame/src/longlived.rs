@@ -26,8 +26,8 @@
 //!    for `e` (the broadcaster repeats one frame for the whole epoch, so
 //!    every later copy is a duplicate; checked before the MAC so repeats
 //!    cost no crypto);
-//! 3. **MAC** — [`SealedBox::open`] verifies the tag under the current
-//!    key `K`;
+//! 3. **MAC** — the tag verifies under the current key `K`
+//!    ([`SealKey::open`]);
 //! 4. **decode** — the plaintext carries a well-formed
 //!    `(sender, eround)` header;
 //! 5. **eround** — the embedded emulated round is `e`.
@@ -37,9 +37,21 @@
 //! conjunction. Every frame that could still be accepted is MAC-verified
 //! by the node that received it.
 //!
-//! Each keyed node holds one [`ChannelHopper`] for its current key,
-//! built on its first awake round under that key (so opening a session
-//! pays no crypto) and dropped on rekey.
+//! ## Crypto a node holds
+//!
+//! Each keyed node holds one per-key state for its current key: a
+//! [`SealKey`] (the HMAC midstates of `K` and of its MAC subkey) and the
+//! [`HopBlock`] of its hop sequence, which hops on the seal key's `K`
+//! midstates (hop and keystream PRFs differ by label only). The state is
+//! built on the node's first awake round under that key, so opening a
+//! session pays no crypto, and replaced on rekey. A broadcaster seals its
+//! frame once per emulated round and resends the same bytes for the rest
+//! of the epoch: sealing is deterministic in `(K, e, plaintext)`, so the
+//! repeats are the frames a per-round seal would give and the adversary's
+//! view does not change. A quiet session-round then costs each node
+//! 2 compressions per 32 rounds for the hop (plus 2 on the 1-in-256
+//! fallback rounds at `C = 3`), 4 per epoch for the one seal and 4 per
+//! accepted frame for the open.
 //!
 //! Guarantees (w.h.p.): **t-Reliability** (all key holders hear the
 //! broadcast), **Secrecy** (frames are ciphertext), **Authentication**
@@ -47,9 +59,9 @@
 
 use std::collections::BTreeMap;
 
-use radio_crypto::cipher::SealedBox;
+use radio_crypto::cipher::{SealKey, SealedBox};
 use radio_crypto::key::SymmetricKey;
-use radio_crypto::prf::ChannelHopper;
+use radio_crypto::prf::HopBlock;
 
 use radio_network::{
     Action, Adversary, ChannelId, EngineError, NetworkConfig, Protocol, Reception, Simulation,
@@ -102,6 +114,26 @@ pub struct Accept {
     pub sender: usize,
 }
 
+/// A node's group key, as far as it has been prepared for use.
+#[derive(Clone, Debug)]
+enum Keying {
+    /// Outside the keyed group.
+    Unkeyed,
+    /// Holds `K` but has not been awake under it yet.
+    Pending(SymmetricKey),
+    /// The per-key state of the current key.
+    Held(Held),
+}
+
+/// The crypto a keyed node holds for its current key (see the module
+/// docs): what it seals and opens with, and its hop block, hopped under
+/// the seal key's `K` midstates.
+#[derive(Clone, Debug)]
+struct Held {
+    seal: SealKey,
+    hop: HopBlock,
+}
+
 /// A participant in the emulated channel.
 #[derive(Clone, Debug)]
 pub struct LongLivedNode {
@@ -109,14 +141,18 @@ pub struct LongLivedNode {
     /// Channels hopped over (`params.c()`), the one part of its `Params`
     /// the node uses: a smaller node is cheaper to open sessions with.
     channels: usize,
-    key: Option<SymmetricKey>,
+    key: Keying,
     /// My scripted broadcasts: emulated round -> message.
     script: BTreeMap<u64, Vec<u8>>,
-    /// Scheduled key rotations: from emulated round -> new group key.
-    rekeys: BTreeMap<u64, SymmetricKey>,
-    /// The hop schedule of `key`: built on the first awake round under
-    /// that key, dropped when the key rotates.
-    hopper: Option<ChannelHopper>,
+    /// Scheduled key rotations `(from emulated round, new group key)`,
+    /// the next one due last: due rotations pop off the back, and a pop
+    /// never frees (the gateway's steady-state tick allocates nothing,
+    /// across a rekey too).
+    rekeys: Vec<(u64, SymmetricKey)>,
+    /// My latest sealed broadcast, resent unchanged for the rest of its
+    /// emulated round (its nonce). Boxed so non-broadcasters carry one
+    /// pointer; kept across rekeys, which start a new emulated round.
+    sent: Option<Box<SealedBox>>,
     epoch_len: u64,
     emulated_rounds: u64,
     /// Accepted broadcasts: emulated round -> (sender, message).
@@ -142,10 +178,10 @@ impl LongLivedNode {
             id,
             epoch_len: params.epoch_rounds(),
             channels: params.c(),
-            key,
+            key: key.map_or(Keying::Unkeyed, Keying::Pending),
             script,
-            rekeys: BTreeMap::new(),
-            hopper: None,
+            rekeys: Vec::new(),
+            sent: None,
             emulated_rounds,
             received: BTreeMap::new(),
             accepts: Vec::with_capacity(emulated_rounds as usize),
@@ -157,10 +193,16 @@ impl LongLivedNode {
     /// in `rekeys`, the node switches to that key for hopping, sealing,
     /// and opening. Every keyed node in a session must carry the same
     /// schedule (the model's out-of-band re-agreement, e.g. a Section 6
-    /// re-run); nodes outside the keyed group ignore it.
+    /// re-run); nodes outside the keyed group ignore it. Of two rotations
+    /// named for one emulated round, the later one in `rekeys` wins, as in
+    /// a map built from the same entries.
     #[must_use]
-    pub fn with_rekeys(mut self, rekeys: BTreeMap<u64, SymmetricKey>) -> Self {
-        self.rekeys = rekeys;
+    pub fn with_rekeys(mut self, rekeys: impl IntoIterator<Item = (u64, SymmetricKey)>) -> Self {
+        self.rekeys = rekeys.into_iter().collect();
+        // Stable sort, then reverse: popping from the back applies the
+        // rotations in order, equal rounds in their given order.
+        self.rekeys.sort_by_key(|&(at, _)| at);
+        self.rekeys.reverse();
         self
     }
 
@@ -195,37 +237,45 @@ impl Protocol for LongLivedNode {
         // Key rotation: apply every scheduled rekey due at or before this
         // emulated round. All keyed nodes carry the same schedule, so the
         // whole group switches hop sequence and sealing key in lockstep
-        // at the epoch boundary. (`pop_first` only releases tree nodes —
-        // no allocation on the steady-state tick.)
-        while self
-            .rekeys
-            .first_key_value()
-            .is_some_and(|(&at, _)| at <= e)
-        {
-            if let Some((_, key)) = self.rekeys.pop_first() {
-                self.key = Some(key);
-                self.hopper = None;
+        // at the epoch boundary.
+        while self.rekeys.last().is_some_and(|&(at, _)| at <= e) {
+            if let Some((_, key)) = self.rekeys.pop() {
+                self.key = Keying::Pending(key);
             }
         }
-        let Some(key) = &self.key else {
+        if let Keying::Pending(key) = self.key {
+            self.key = Keying::Held(Held {
+                seal: SealKey::new(&key),
+                hop: HopBlock::new(),
+            });
+        }
+        let Keying::Held(held) = &mut self.key else {
             return Action::Sleep; // outside the keyed group
         };
-        let hopper = self
-            .hopper
-            .get_or_insert_with(|| ChannelHopper::new(key, self.channels));
-        let channel = ChannelId(hopper.channel_for(self.round));
-        match self.script.get(&e) {
-            Some(message) => Action::Transmit {
-                channel,
-                frame: SealedBox::seal(key, e, &encode(self.id, e, message)),
-            },
-            None => Action::Listen { channel },
-        }
+        let channel = ChannelId(held.hop.channel_for(
+            held.seal.prf_key(),
+            self.channels,
+            self.round,
+        ));
+        let Some(message) = self.script.get(&e) else {
+            return Action::Listen { channel };
+        };
+        // One seal per emulated round: every rekey due by `e` was applied
+        // above, so a frame with nonce `e` was sealed under today's key.
+        let frame = match &mut self.sent {
+            Some(sent) if sent.nonce == e => SealedBox::clone(sent),
+            sent => {
+                let sealed = held.seal.seal(e, &encode(self.id, e, message));
+                *sent = Some(Box::new(sealed.clone()));
+                sealed
+            }
+        };
+        Action::Transmit { channel, frame }
     }
 
     fn end_round(&mut self, round: u64, reception: Option<Reception<&SealedBox>>) {
         if let (
-            Some(key),
+            Keying::Held(held),
             Some(Reception {
                 frame: Some(sealed),
                 ..
@@ -237,7 +287,7 @@ impl Protocol for LongLivedNode {
             // nonce binding (stops replays), then "already accepted" (the
             // epoch's repeats cost no crypto), then MAC, decode, eround.
             if sealed.nonce == e && !self.received.contains_key(&e) {
-                if let Some(plain) = sealed.open(key) {
+                if let Some(plain) = held.seal.open(sealed) {
                     if let Some((sender, eround, message)) = decode(&plain) {
                         if eround == e {
                             self.accepts.push(Accept {
@@ -262,7 +312,7 @@ impl Protocol for LongLivedNode {
         if self.is_done() {
             return radio_network::NEVER;
         }
-        if self.key.is_none() {
+        if matches!(self.key, Keying::Unkeyed) {
             // Unkeyed nodes never transmit or listen; sleep until the
             // session's last round so `is_done` flips in lockstep with
             // the keyed group and the run length stays unchanged.
@@ -398,7 +448,6 @@ pub fn session_nodes(
             entry.sender
         );
     }
-    let rekey_map: BTreeMap<u64, SymmetricKey> = rekeys.iter().copied().collect();
     let nodes = (0..params.n())
         .map(|id| {
             let my_script: BTreeMap<u64, Vec<u8>> = script
@@ -408,7 +457,7 @@ pub fn session_nodes(
                 .collect();
             let node = LongLivedNode::new(id, params.clone(), keys[id], my_script, emulated_rounds);
             if keys[id].is_some() {
-                node.with_rekeys(rekey_map.clone())
+                node.with_rekeys(rekeys.iter().copied())
             } else {
                 node
             }
@@ -607,6 +656,7 @@ mod codec_tests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use radio_crypto::prf::ChannelHopper;
     use radio_network::adversaries::{NoAdversary, RandomJammer, Spoofer};
 
     fn params() -> Params {
@@ -792,27 +842,98 @@ mod tests {
         }
     }
 
+    /// Emulated round 2 starts in mid hop block (the epoch is not a
+    /// multiple of 32 rounds), so this also pins that a rekey starts a
+    /// fresh block under the new key.
     #[test]
     fn rekey_switches_to_the_new_keys_hop_sequence() {
         let p = params();
+        assert!(
+            !(2 * p.epoch_rounds()).is_multiple_of(32),
+            "rekey in mid block"
+        );
         let old = SymmetricKey::from_bytes([42u8; 32]);
         let new = SymmetricKey::from_bytes([43u8; 32]);
         let mut node = listener(&p, old).with_rekeys(BTreeMap::from([(2, new)]));
-        let (before, after) = (
+        let (mut before, mut after) = (
             ChannelHopper::new(&old, p.c()),
             ChannelHopper::new(&new, p.c()),
         );
         for round in 0..3 * p.epoch_rounds() {
             let expected = if round / p.epoch_rounds() < 2 {
-                &before
+                &mut before
             } else {
-                &after
+                &mut after
             };
             let Action::Listen { channel } = node.begin_round(round) else {
                 panic!("round {round}: a keyed node without a script listens");
             };
             assert_eq!(channel.0, expected.channel_for(round), "round {round}");
             node.end_round(round, None);
+        }
+    }
+
+    /// Rotations given out of order apply in emulated-round order; of two
+    /// for one round the later given wins, as in a map of the entries.
+    #[test]
+    fn rekeys_apply_in_round_order_and_the_last_given_wins() {
+        let p = params();
+        let key = |b: u8| SymmetricKey::from_bytes([b; 32]);
+        let mut node =
+            listener(&p, key(1)).with_rekeys(vec![(2, key(4)), (1, key(2)), (2, key(3))]);
+        let mut hoppers: Vec<ChannelHopper> =
+            [1, 2, 3].map(|b| ChannelHopper::new(&key(b), p.c())).into();
+        for round in 0..3 * p.epoch_rounds() {
+            let Action::Listen { channel } = node.begin_round(round) else {
+                panic!("round {round}: a keyed node without a script listens");
+            };
+            let e = (round / p.epoch_rounds()) as usize;
+            assert_eq!(channel.0, hoppers[e].channel_for(round), "round {round}");
+            node.end_round(round, None);
+        }
+    }
+
+    /// A broadcaster seals once per emulated round and resends the same
+    /// bytes: over a broadcasting epoch it pays exactly one seal (4
+    /// compressions) more than a listener under the same key, and every
+    /// copy it transmits is the frame `SealedBox::seal` gives.
+    #[test]
+    fn one_seal_per_broadcasting_epoch() {
+        use radio_crypto::sha256::compressions::during;
+        let p = params();
+        let key = SymmetricKey::from_bytes([42u8; 32]);
+        let script = BTreeMap::from([(0, b"hello".to_vec()), (1, b"again".to_vec())]);
+        let mut sender = LongLivedNode::new(3, p.clone(), Some(key), script.clone(), 3);
+        let mut quiet = listener(&p, key);
+        for e in 0..3u64 {
+            let rounds = e * p.epoch_rounds()..(e + 1) * p.epoch_rounds();
+            let mut frames = Vec::new();
+            let (_, sending) = during(|| {
+                for round in rounds.clone() {
+                    if let Action::Transmit { frame, .. } = sender.begin_round(round) {
+                        frames.push(frame);
+                    }
+                    sender.end_round(round, None);
+                }
+            });
+            let (_, listening) = during(|| {
+                for round in rounds.clone() {
+                    let _ = quiet.begin_round(round);
+                    quiet.end_round(round, None);
+                }
+            });
+            match script.get(&e) {
+                Some(message) => {
+                    assert_eq!(sending, listening + 4, "eround {e}: one seal");
+                    assert_eq!(frames.len() as u64, p.epoch_rounds());
+                    let expected = SealedBox::seal(&key, e, &encode(3, e, message));
+                    assert!(frames.iter().all(|f| f == &expected), "eround {e}");
+                }
+                None => {
+                    assert_eq!(sending, listening, "eround {e}: no seal");
+                    assert!(frames.is_empty());
+                }
+            }
         }
     }
 

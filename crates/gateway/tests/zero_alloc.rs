@@ -1,9 +1,10 @@
 //! Counting-allocator proof of the gateway's headline claim: after the
 //! opening epoch has warmed every buffer, **a multi-session steady-state
 //! tick performs zero heap allocations** — the sparse engine round, the
-//! stack-buffer PRF channel hop, the acceptance-cursor drain, and the
-//! pre-sized transcript pushes all stay off the allocator, across every
-//! live session the shard owns.
+//! held hop block, the acceptance-cursor drain, and the pre-sized
+//! transcript pushes all stay off the allocator, across every live
+//! session the shard owns, and across a group-key rotation: applying a
+//! rekey replaces the nodes' held per-key crypto in place.
 //!
 //! The file holds exactly one `#[test]` so no sibling test can allocate
 //! on another thread inside a measurement window (the same discipline as
@@ -14,6 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gateway::{keyed_nodes, Request, ServiceConfig, WorkerShard};
+use radio_crypto::key::SymmetricKey;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static REALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -85,9 +87,10 @@ fn steady_state_multi_session_tick_allocates_nothing() {
     // One shard owning 8 sessions of the minimal long-lived shape
     // (n = 18, t = 1, C = 2; epoch = 35 physical rounds), horizon 3
     // emulated rounds. Every session broadcasts at emulated round 0 and
-    // then listens — so the measured window exercises the steady state a
-    // long-lived service actually lives in: all nodes hopping and
-    // listening, acceptance logs quiet, jammer idle.
+    // then listens, and rotates its group key at emulated round 2 — so
+    // the measured window exercises the steady state a long-lived service
+    // actually lives in: all nodes hopping and listening, acceptance logs
+    // quiet, jammer idle, and one key rotation.
     let cfg = ServiceConfig::new(SESSIONS, 1, 18, 1, 2, 3, 77);
     let mut shard = WorkerShard::new(&cfg, 0).expect("shard opens");
     for s in 0..SESSIONS {
@@ -99,9 +102,15 @@ fn steady_state_multi_session_tick_allocates_nothing() {
             eround: 0,
             payload: vec![0xAB; 11],
         });
+        shard.admit(Request::Rekey {
+            session: s,
+            eround: 2,
+            key: SymmetricKey::from_bytes([s as u8 + 1; 32]),
+        });
     }
     shard.open_sessions().expect("sessions open");
     assert_eq!(shard.live_sessions(), SESSIONS);
+    assert_eq!(shard.rejected(), 0, "every broadcast and rekey admitted");
 
     let epoch = 35u64; // Params(18, 1, 2).epoch_rounds()
 
@@ -113,7 +122,8 @@ fn steady_state_multi_session_tick_allocates_nothing() {
     }
 
     // Measured window: one full epoch of multi-session steady state,
-    // strictly inside the session lifetime (3 epochs total).
+    // strictly inside the session lifetime (3 epochs total), crossing
+    // the rekey at round 2 * epoch = 70.
     assert_zero_alloc("8-session steady-state tick", || {
         for _ in 0..epoch {
             shard.tick().expect("tick");

@@ -51,8 +51,17 @@ impl HmacKey {
 
     /// `HMAC-SHA256(key, message)`.
     pub fn mac(&self, message: &[u8]) -> Digest {
+        self.mac_parts(&[message])
+    }
+
+    /// `HMAC-SHA256(key, parts[0] || parts[1] || …)`, hashing the parts in
+    /// place: the concatenation is never built, so a tag over a header and
+    /// a body costs no heap allocation.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> Digest {
         let mut inner = Sha256::resume_after_block(self.inner);
-        inner.update(message);
+        for part in parts {
+            inner.update(part);
+        }
         let inner_digest = inner.finalize();
         let mut outer = Sha256::resume_after_block(self.outer);
         outer.update(inner_digest.as_bytes());
@@ -170,6 +179,17 @@ mod tests {
             let msg = vec![0x5Au8; len];
             assert_eq!(key.mac(&msg), hmac_sha256(b"Jefe", &msg), "len {len}");
         }
+    }
+
+    #[test]
+    fn mac_parts_is_mac_of_the_concatenation() {
+        let key = HmacKey::new(b"Jefe");
+        let msg: Vec<u8> = (0u8..100).collect();
+        for cut in [0usize, 1, 8, 55, 64, 100] {
+            let (head, tail) = msg.split_at(cut);
+            assert_eq!(key.mac_parts(&[head, tail]), key.mac(&msg), "cut {cut}");
+        }
+        assert_eq!(key.mac_parts(&[]), key.mac(b""));
     }
 
     #[test]

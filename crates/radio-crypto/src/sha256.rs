@@ -143,7 +143,7 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        #[cfg(test)]
+        #[cfg(any(test, feature = "count-compressions"))]
         compressions::bump();
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
@@ -197,11 +197,12 @@ impl Default for Sha256 {
     }
 }
 
-/// Test-only count of [`Sha256::compress`] calls on this thread, so unit
-/// tests can pin how many blocks a primitive hashes. Compiled out of every
-/// non-test build.
-#[cfg(test)]
-pub(crate) mod compressions {
+/// Count of SHA-256 compressions on this thread, so tests can pin how
+/// many blocks a primitive hashes. Compiled into this crate's own tests
+/// and, for other crates' tests, behind the `count-compressions` feature
+/// (a dev-dependency feature); every other build leaves it out.
+#[cfg(any(test, feature = "count-compressions"))]
+pub mod compressions {
     use std::cell::Cell;
 
     thread_local! {
@@ -213,7 +214,7 @@ pub(crate) mod compressions {
     }
 
     /// Compressions `f` performs (on the calling thread).
-    pub(crate) fn during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    pub fn during<R>(f: impl FnOnce() -> R) -> (R, u64) {
         let before = COUNT.with(Cell::get);
         let r = f();
         (r, COUNT.with(Cell::get) - before)

@@ -92,8 +92,8 @@ proptest! {
         round in any::<u64>(),
     ) {
         let key = SymmetricKey::from_bytes(key_bytes);
-        let a = ChannelHopper::new(&key, channels);
-        let b = ChannelHopper::new(&key, channels);
+        let mut a = ChannelHopper::new(&key, channels);
+        let mut b = ChannelHopper::new(&key, channels);
         let ch = a.channel_for(round);
         prop_assert!(ch < channels);
         prop_assert_eq!(ch, b.channel_for(round));
